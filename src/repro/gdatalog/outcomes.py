@@ -57,9 +57,12 @@ class PossibleOutcome:
 
     @cached_property
     def full_rules(self) -> tuple[Rule, ...]:
-        """The ground program ``Σ ∪ G(Σ)`` with AtR TGDs read as plain rules."""
-        atr_plain = tuple(sorted((r.as_rule() for r in self.atr_rules), key=Rule.sort_key))
-        return tuple(sorted(self.grounding, key=Rule.sort_key)) + atr_plain
+        """The ground program ``Σ ∪ G(Σ)`` with AtR TGDs read as plain rules.
+
+        In no specified order: the stable models, the solver's memo key and
+        every consumer are independent of it.
+        """
+        return tuple(self.grounding) + tuple(r.as_rule() for r in self.atr_rules)
 
     def ground_program(self) -> GroundProgram:
         return GroundProgram(self.full_rules)
@@ -92,8 +95,8 @@ class PossibleOutcome:
         """``sms(Σ ∪ G(Σ))``: the (possibly empty) set of stable models of the outcome.
 
         Solved through the process-wide memoized solver: outcomes with the
-        same canonicalized ground program (e.g. the same configuration
-        re-sampled by the Monte-Carlo sampler) are solved once.
+        same ground rule set (e.g. the same configuration re-sampled by the
+        Monte-Carlo sampler) are solved once.
         """
         return frozenset(shared_solver().enumerate(self.ground_program()))
 
@@ -102,12 +105,14 @@ class PossibleOutcome:
         """Whether the outcome admits a stable model.
 
         Answers from the already-materialized :attr:`stable_models` when
-        available; otherwise routes through the solver's lazy existence
-        check, which stops at the first model instead of eagerly
-        enumerating all of them (existence-only consumers — the sampler,
-        ``P(has stable model)`` — never pay for a full enumeration).
-        Cached per outcome, so repeated event evaluations cost one
-        attribute lookup.
+        available; otherwise routes through the solver's existence check.
+        A decided outcome (negation-free, or settled by its well-founded
+        model) is solved outright and its model memoized for a later
+        :attr:`stable_models`; a branching one stops at the first model
+        instead of eagerly enumerating all of them (existence-only
+        consumers — the sampler, ``P(has stable model)`` — never pay for a
+        full enumeration).  Cached per outcome, so repeated event
+        evaluations cost one attribute lookup.
         """
         if "stable_models" in self.__dict__:
             return bool(self.stable_models)

@@ -46,14 +46,16 @@ class GroundProgram:
         return len(self.rules)
 
     @cached_property
-    def canonical_key(self) -> tuple:
+    def canonical_key(self) -> frozenset[Rule]:
         """A canonical structural key: equal iff the rule *sets* are equal.
 
-        Built from the cheap per-rule :meth:`~repro.logic.rules.Rule.sort_key`
-        (no stringification); used by the stable-model solver to memoize
-        enumeration results across structurally equal ground programs.
+        The rule set itself: rules hash by value with their hash cached (and
+        the chase's rules are interned, so most comparisons stop at
+        identity), so the key costs no sort and ignores rule order.  Used by
+        the stable-model solver to memoize enumeration results across
+        structurally equal ground programs.
         """
-        return tuple(sorted({r.sort_key() for r in self.rules}))
+        return frozenset(self.rules)
 
     @property
     def facts(self) -> tuple[Rule, ...]:

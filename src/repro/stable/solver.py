@@ -1,32 +1,43 @@
 """Complete stable-model enumeration for ground Datalog¬ programs.
 
-The solver is a two-phase procedure tailored to the small ground programs
-that arise as possible outcomes of generative Datalog¬ programs:
+The solver is tailored to the small ground programs that arise as possible
+outcomes of generative Datalog¬ programs.  Each program is solved in the
+first of three cases that applies:
 
-1. **Well-founded pruning.**  The well-founded model fixes the truth value of
-   every atom that is decided in all stable models.  If it is total, the
-   single candidate is checked directly.
+1. **Negation-free.**  No rule has a negative body, so the least model is
+   the only candidate: one least-model pass, then the constraints are
+   checked.
 
-2. **Branching over negative-body atoms.**  Stable models of a ground
-   program are uniquely determined by their intersection with the set ``N``
-   of atoms occurring in negative bodies: for a guess ``S ⊆ N`` the GL
+2. **Settled.**  The well-founded model fixes the truth value of every atom
+   that is decided in all stable models.  When it decides every atom of the
+   set ``N`` of negative-body atoms, it is total and its true atoms are the
+   only candidate, stable by construction; only the constraints are
+   checked.  Every stratified program lands here, after at most three
+   least-model passes when its negated atoms are defined without negation.
+
+3. **Branching.**  Stable models of a ground program are uniquely
+   determined by their intersection with ``N``: for a guess ``S ⊆ N`` the GL
    reduct only depends on ``S``, and a guess is *stable* iff the least model
    ``M`` of the reduct satisfies ``M ∩ N = S``.  The solver enumerates the
    guesses compatible with the well-founded model, checks each, and filters
    candidates violating an integrity constraint.
 
-The branching step is exponential in the number of *undecided* negative-body
-atoms, which is the expected complexity class (deciding stable-model
-existence is NP-complete); a configurable guess limit guards against
-accidentally huge instances.
+The first two cases are *decided*: they have at most one stable model,
+found in polynomial time.  The branching step is exponential in the number
+of *undecided* negative-body atoms, which is the expected complexity class
+(deciding stable-model existence is NP-complete); a configurable guess
+limit guards against accidentally huge instances.
+``SolverConfig(use_well_founded=False)`` skips the first two cases and the
+pruning, branching over all of ``N``: the reference oracle.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from repro.exceptions import SolverLimitError
 from repro.logic.atoms import Atom
@@ -36,7 +47,7 @@ from repro.logic.rules import Rule
 from repro.stable.fixpoint import least_model, violated_constraints
 from repro.stable.grounding import GroundProgram, ground_program
 from repro.stable.reduct import is_stable_model
-from repro.stable.wellfounded import well_founded_model
+from repro.stable.wellfounded import alternating_fixpoint
 
 __all__ = [
     "SolverConfig",
@@ -46,6 +57,8 @@ __all__ = [
     "shared_solver",
     "solver_cache_stats",
 ]
+
+_Entry = TypeVar("_Entry")
 
 
 @dataclass(frozen=True)
@@ -58,19 +71,22 @@ class SolverConfig:
         Upper bound on the number of branching guesses explored
         (``2**len(undecided negative atoms)``); exceeded → :class:`SolverLimitError`.
     use_well_founded:
-        Whether to run the well-founded pruning phase (disable only in tests
+        Whether to take the negation-free and settled cases and the
+        well-founded pruning of the branching case (disable only in tests
         that exercise the raw branching procedure).
     memoize:
         Whether :meth:`StableModelSolver.enumerate` caches its results keyed
-        on the canonicalized ground program
+        on the ground program's rule set
         (:meth:`~repro.stable.grounding.GroundProgram.canonical_key`).
         Structurally equal programs — e.g. the same chase configuration
         re-sampled by the Monte-Carlo sampler, or outcomes re-queried under
         several marginals — are then solved exactly once per process.
-        ``has_stable_model`` never pays the eager materialization of a
-        memoized ``enumerate``: on a model-cache miss it enumerates lazily,
-        stops at the first model, and records the boolean in a separate
-        existence memo so repeated checks stay O(1).
+        ``has_stable_model`` stores the 0 or 1 models of a decided
+        (negation-free or settled) program in the same model memo, so a
+        later ``enumerate`` hits.  On a branching program it never pays
+        the eager materialization of a memoized ``enumerate``: it
+        enumerates lazily, stops at the first model, and records the
+        boolean in a separate existence memo so repeated checks stay O(1).
     cache_size:
         Maximum number of memoized programs (LRU eviction).
     """
@@ -86,11 +102,14 @@ class StableModelSolver:
 
     def __init__(self, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
-        self._cache: OrderedDict[tuple, tuple[frozenset[Atom], ...]] = OrderedDict()
+        self._cache: OrderedDict[frozenset[Rule], tuple[frozenset[Atom], ...]] = OrderedDict()
         #: Existence-only memo: canonical key -> whether a stable model exists.
-        #: Fed by :meth:`has_stable_model`, which must stay lazy (a partial
-        #: enumeration is not cacheable in ``_cache``).
-        self._has_model_cache: OrderedDict[tuple, bool] = OrderedDict()
+        #: Fed by :meth:`has_stable_model` on branching programs, which must
+        #: stay lazy (a partial enumeration is not cacheable in ``_cache``).
+        self._has_model_cache: OrderedDict[frozenset[Rule], bool] = OrderedDict()
+        #: Guards both memos and the counters, never the solving: threads
+        #: sharing the solver may evict each other's entries at any time.
+        self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -103,67 +122,84 @@ class StableModelSolver:
             yield from self._enumerate_uncached(ground)
             return
         key = ground.canonical_key
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            self._cache.move_to_end(key)
-            yield from cached
-            return
-        self.cache_misses += 1
-        models = tuple(self._enumerate_uncached(ground))
-        self._cache[key] = models
-        if len(self._cache) > self.config.cache_size:
-            self._cache.popitem(last=False)
+        models = self._recall(key, self._cache)
+        if models is None:
+            models = tuple(self._enumerate_uncached(ground))
+            self._remember(self._cache, key, models)
         yield from models
 
     def cache_stats(self) -> dict[str, int]:
         """Memo-cache counters for profiling reports."""
-        return {
-            "entries": len(self._cache),
-            "existence_entries": len(self._has_model_cache),
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-        }
+        with self._lock:
+            return {
+                "entries": len(self._cache),
+                "existence_entries": len(self._has_model_cache),
+                "hits": self.cache_hits,
+                "misses": self.cache_misses,
+            }
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-        self._has_model_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        with self._lock:
+            self._cache.clear()
+            self._has_model_cache.clear()
+            self.cache_hits = 0
+            self.cache_misses = 0
 
-    def _enumerate_uncached(self, ground: GroundProgram) -> Iterator[frozenset[Atom]]:
-        rules = list(ground.rules)
-        negative_atoms = set(ground.negative_body_atoms())
+    def _enumerate_uncached(
+        self, ground: GroundProgram
+    ) -> tuple[frozenset[Atom], ...] | Iterator[frozenset[Atom]]:
+        """The stable models of *ground*, solved without the memo.
 
-        forced_true: set[Atom] = set()
-        forced_false: set[Atom] = set()
-        wf_seed: frozenset[Atom] = frozenset()
-        if self.config.use_well_founded:
-            wf = well_founded_model(rules)
-            forced_true = wf.true & negative_atoms
-            forced_false = wf.false & negative_atoms
-            # Every guess S compatible with the well-founded model satisfies
-            # S ⊆ U∞ (it avoids the well-founded false atoms), and Γ is
-            # antimonotone, so lm(P^S) = Γ(S) ⊇ Γ(U∞) = wf.true: the
-            # well-founded true atoms belong to every guess's reduct model
-            # and can seed its fixpoint instead of being re-derived from ∅.
-            wf_seed = frozenset(wf.true)
+        A decided program (negation-free or settled, see the module
+        docstring) returns its 0 or 1 models as a tuple; a branching one
+        returns a lazy iterator over its guesses.
+        """
+        rules = ground.rules
+        negative_atoms = ground.negative_body_atoms()
+        if not self.config.use_well_founded:
+            return self._branch(rules, negative_atoms, frozenset(), negative_atoms)
+        if not negative_atoms:
+            return self._checked(rules, least_model(rules))
+        lower, upper = alternating_fixpoint(rules)
+        undecided = (negative_atoms & upper) - lower
+        if not undecided:
+            # Γ(I) depends only on I ∩ N, so upper = Γ(lower) = Γ(upper) =
+            # lower: the well-founded model is total, and it is stable.
+            return self._checked(rules, lower)
+        return self._branch(rules, negative_atoms, lower, undecided)
 
-        undecided = sorted(negative_atoms - forced_true - forced_false, key=str)
-        guess_count = 1 << len(undecided)
+    def _branch(
+        self,
+        rules: tuple[Rule, ...],
+        negative_atoms: frozenset[Atom],
+        wf_true: frozenset[Atom],
+        undecided: frozenset[Atom],
+    ) -> Iterator[frozenset[Atom]]:
+        """Guess-and-check over the *undecided* negative-body atoms.
+
+        Every guess ``S`` compatible with the well-founded model contains
+        the well-founded true atoms of ``N`` and satisfies ``S ⊆ U∞`` (it
+        avoids the well-founded false atoms), and Γ is antimonotone, so
+        ``lm(P^S) = Γ(S) ⊇ Γ(U∞) = wf_true``: the well-founded true atoms
+        belong to every guess's reduct model and seed its fixpoint instead
+        of being re-derived from ∅.
+        """
+        ordered = sorted(undecided, key=str)
+        guess_count = 1 << len(ordered)
         if guess_count > self.config.max_guesses:
             raise SolverLimitError(
-                f"{len(undecided)} undecided negative-body atoms would require {guess_count} guesses "
+                f"{len(ordered)} undecided negative-body atoms would require {guess_count} guesses "
                 f"(limit {self.config.max_guesses})"
             )
 
+        forced_true = wf_true & negative_atoms
         non_constraint_rules = [r for r in rules if not r.is_constraint]
         seen: set[frozenset[Atom]] = set()
-        for size in range(len(undecided) + 1):
-            for extra in combinations(undecided, size):
+        for size in range(len(ordered) + 1):
+            for extra in combinations(ordered, size):
                 assumed_true = forced_true | set(extra)
                 candidate = self._candidate_for_guess(
-                    non_constraint_rules, negative_atoms, assumed_true, wf_seed
+                    non_constraint_rules, negative_atoms, assumed_true, wf_true
                 )
                 if candidate is None or candidate in seen:
                     continue
@@ -179,33 +215,29 @@ class StableModelSolver:
     def has_stable_model(self, program: GroundProgram | Iterable[Rule]) -> bool:
         """Whether at least one stable model exists.
 
-        Answers from the memo cache when the program was already enumerated;
-        otherwise enumerates *lazily* and stops at the first model (a partial
-        enumeration is not cacheable in the model cache, so existence checks
-        never pay the eager-materialization cost of a memoized
-        :meth:`enumerate`).  The boolean itself is memoized in a separate
-        existence cache, so repeated existence checks of the same program
-        cost one dictionary lookup.
+        Answers from the memo when the program was already solved.  On a
+        miss, a decided program is solved outright and its 0 or 1 models
+        are stored in the model memo, so a later :meth:`enumerate` hits.
+        A branching program is enumerated *lazily* up to its first model
+        (a partial enumeration is not cacheable in the model memo, so
+        existence checks never pay the eager materialization of a memoized
+        :meth:`enumerate`); the boolean goes to a separate existence memo,
+        so repeated existence checks of the same program cost one
+        dictionary lookup.
         """
         ground = program if isinstance(program, GroundProgram) else GroundProgram(tuple(program))
         if not self.config.memoize:
-            return next(self._enumerate_uncached(ground), None) is not None
+            return next(iter(self._enumerate_uncached(ground)), None) is not None
         key = ground.canonical_key
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            self._cache.move_to_end(key)
-            return bool(cached)
-        known = self._has_model_cache.get(key)
+        known = self._recall(key, self._cache, self._has_model_cache)
         if known is not None:
-            self.cache_hits += 1
-            self._has_model_cache.move_to_end(key)
-            return known
-        self.cache_misses += 1
-        exists = next(self._enumerate_uncached(ground), None) is not None
-        self._has_model_cache[key] = exists
-        if len(self._has_model_cache) > self.config.cache_size:
-            self._has_model_cache.popitem(last=False)
+            return bool(known)  # a tuple of models or an existence boolean
+        models = self._enumerate_uncached(ground)
+        if isinstance(models, tuple):
+            self._remember(self._cache, key, models)
+            return bool(models)
+        exists = next(models, None) is not None
+        self._remember(self._has_model_cache, key, exists)
         return exists
 
     def count(self, program: GroundProgram | Iterable[Rule]) -> int:
@@ -233,19 +265,44 @@ class StableModelSolver:
 
     # -- internals ----------------------------------------------------------
 
+    def _recall(self, key: frozenset[Rule], *memos: OrderedDict[frozenset[Rule], _Entry]) -> _Entry | None:
+        """The entry for *key* in the first memo holding one, or ``None``.
+
+        Counts a hit (and marks the entry most recently used) or a miss.
+        """
+        with self._lock:
+            for memo in memos:
+                found = memo.get(key)
+                if found is not None:
+                    memo.move_to_end(key)
+                    self.cache_hits += 1
+                    return found
+            self.cache_misses += 1
+            return None
+
+    def _remember(self, memo: OrderedDict[frozenset[Rule], _Entry], key: frozenset[Rule], value: _Entry) -> None:
+        with self._lock:
+            memo[key] = value
+            if len(memo) > self.config.cache_size:
+                memo.popitem(last=False)
+
+    @staticmethod
+    def _checked(rules: tuple[Rule, ...], model: frozenset[Atom]) -> tuple[frozenset[Atom], ...]:
+        """``(model,)``, or ``()`` when *model* violates a constraint of *rules*."""
+        return () if violated_constraints(rules, model) else (model,)
+
     @staticmethod
     def _candidate_for_guess(
         rules: list[Rule],
-        negative_atoms: set[Atom],
+        negative_atoms: frozenset[Atom],
         assumed_true: set[Atom],
         seed: frozenset[Atom] = frozenset(),
     ) -> frozenset[Atom] | None:
         """Least model of the reduct induced by a guess, or ``None`` if the guess is unstable.
 
         *seed* carries the well-founded true atoms: they are contained in
-        every compatible guess's reduct model (see the antimonotonicity
-        argument in :meth:`_enumerate_uncached`), so the fixpoint starts
-        from them instead of re-deriving them per guess.
+        every compatible guess's reduct model (see :meth:`_branch`), so the
+        fixpoint starts from them instead of re-deriving them per guess.
         """
         reduct: list[Rule] = []
         for r in rules:
@@ -267,9 +324,9 @@ _shared_solver: StableModelSolver | None = None
 def shared_solver() -> StableModelSolver:
     """The process-wide memoizing solver (created on first use).
 
-    Keyed on canonicalized ground programs, its cache persists across
-    engines, samplers and output spaces, so repeated evaluations of
-    structurally equal outcome programs are free after the first.
+    Keyed on ground programs' rule sets, its cache persists across engines,
+    samplers and output spaces, so repeated evaluations of structurally
+    equal outcome programs are free after the first.
     """
     global _shared_solver
     if _shared_solver is None:

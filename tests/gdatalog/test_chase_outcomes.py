@@ -145,6 +145,25 @@ class TestPossibleOutcome:
         assert len(outcome) == len(outcome.full_rules)
         assert outcome.result_atoms() <= outcome.head_atoms()
 
+    def test_existence_check_then_marginal_solves_each_outcome_once(self):
+        """``P(has stable model)`` seeds the model memo the marginal reads."""
+        from pathlib import Path
+
+        from repro.gdatalog.engine import GDatalogEngine
+        from repro.stable.solver import shared_solver
+
+        programs = Path(__file__).resolve().parents[2] / "examples" / "programs"
+        engine = GDatalogEngine.from_source(
+            (programs / "resilience.dl").read_text(), (programs / "resilience.facts").read_text()
+        )
+        space = engine.output_space()
+        shared_solver().clear_cache()
+        assert space.probability_has_stable_model() == pytest.approx(0.19)
+        space.marginal(atom("uninfected", 2))
+        stats = shared_solver().cache_stats()
+        assert len(space.outcomes) == 37
+        assert (stats["misses"], stats["hits"]) == (37, 37)
+
 
 class TestOutputSpace:
     @pytest.fixture()

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.atoms import Atom, Predicate
-from repro.logic.rules import Rule
+from repro.logic.rules import FALSE_ATOM, Rule
 from repro.stable.grounding import GroundProgram
 from repro.stable.reduct import gelfond_lifschitz_reduct, is_stable_model
 from repro.stable.fixpoint import least_model
-from repro.stable.solver import StableModelSolver
-from repro.stable.wellfounded import well_founded_model
+from repro.stable.solver import SolverConfig, StableModelSolver
+from repro.stable.wellfounded import gamma_operator, well_founded_model
 
 # A tiny ground Herbrand base: nullary atoms a..f.
 ATOMS = [Atom(Predicate(name, 0), ()) for name in "abcdef"]
@@ -28,11 +28,32 @@ def ground_rules(draw) -> Rule:
 
 
 @st.composite
+def ground_constraints(draw) -> Rule:
+    positive = tuple(draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2)))
+    negative = tuple(draw(st.lists(st.sampled_from(ATOMS), max_size=1)))
+    return Rule(FALSE_ATOM, positive, negative)
+
+
+@st.composite
 def ground_programs(draw) -> GroundProgram:
     rules = draw(st.lists(ground_rules(), min_size=1, max_size=8))
+    rules += draw(st.lists(ground_constraints(), max_size=2))
     # Ensure at least one fact so programs are not vacuously empty too often.
     rules.append(Rule(draw(st.sampled_from(ATOMS)), (), ()))
     return GroundProgram(tuple(dict.fromkeys(rules)))
+
+
+def reference_well_founded_bounds(rules) -> tuple[frozenset[Atom], frozenset[Atom]]:
+    """The alternating fixpoint in rounds of two half-steps, stopping only
+    after a whole round that changes neither bound."""
+    lower: frozenset[Atom] = frozenset()
+    upper = gamma_operator(rules, lower)
+    while True:
+        new_lower = gamma_operator(rules, upper)
+        new_upper = gamma_operator(rules, new_lower)
+        if new_lower == lower and new_upper == upper:
+            return lower, upper
+        lower, upper = new_lower, new_upper
 
 
 @settings(max_examples=120, deadline=None)
@@ -81,8 +102,6 @@ def test_positive_reduct_least_model_is_monotone_in_assumptions(program):
 @settings(max_examples=80, deadline=None)
 @given(ground_programs())
 def test_solver_agrees_with_and_without_well_founded_pruning(program):
-    from repro.stable.solver import SolverConfig
-
     pruned = set(StableModelSolver().enumerate(program))
     unpruned = set(StableModelSolver(SolverConfig(use_well_founded=False)).enumerate(program))
     assert pruned == unpruned
@@ -98,3 +117,34 @@ def test_positive_fragment_has_exactly_one_stable_model(program):
     models = StableModelSolver().all_stable_models(positive_program)
     assert len(models) == 1
     assert models[0] == least_model(positive_rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ground_programs())
+def test_well_founded_model_matches_the_two_half_step_loop(program):
+    lower, upper = reference_well_founded_bounds(program.rules)
+    base = {a for r in program.rules for a in r.positive_body + r.negative_body}
+    base |= {r.head for r in program.rules if not r.is_constraint}
+    wf = well_founded_model(program.rules)
+    assert wf.true == set(lower)
+    assert wf.false == base - upper
+
+
+@settings(max_examples=120, deadline=None)
+@given(ground_programs())
+def test_existence_check_agrees_with_enumeration_in_either_order(program):
+    expected = set(StableModelSolver(SolverConfig(use_well_founded=False)).enumerate(program))
+    exists_first = StableModelSolver()
+    assert exists_first.has_stable_model(program) == bool(expected)
+    assert set(exists_first.enumerate(program)) == expected
+    enumerate_first = StableModelSolver()
+    assert set(enumerate_first.enumerate(program)) == expected
+    assert enumerate_first.has_stable_model(program) == bool(expected)
+    assert StableModelSolver(SolverConfig(memoize=False)).has_stable_model(program) == bool(expected)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ground_programs(), st.data())
+def test_models_do_not_depend_on_rule_order(program, data):
+    shuffled = GroundProgram(tuple(data.draw(st.permutations(program.rules))))
+    assert StableModelSolver().all_stable_models(shuffled) == StableModelSolver().all_stable_models(program)

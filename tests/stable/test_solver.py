@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.exceptions import SolverLimitError, StratificationError
@@ -176,6 +179,129 @@ class TestSolverFastPaths:
         solver.has_stable_model(even_loop_program())
         solver.clear_cache()
         assert solver.cache_stats()["existence_entries"] == 0
+
+
+def count_least_model_passes(monkeypatch) -> list[int]:
+    """Count the least-model passes of the solver and the well-founded loop."""
+    from repro.stable import fixpoint, solver as solver_module, wellfounded
+
+    passes = [0]
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return fixpoint.least_model(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "least_model", counted)
+    monkeypatch.setattr(wellfounded, "least_model", counted)
+    return passes
+
+
+class TestSolverCases:
+    """Negation-free and settled programs are decided without branching."""
+
+    STRATIFIED = """
+    reach(X) :- start(X).
+    reach(Y) :- reach(X), edge(X, Y).
+    unreached(X) :- node(X), not reach(X).
+    """
+
+    def stratified_ground(self, extra: str = "") -> GroundProgram:
+        db = Database.from_relations({"start": [(1,)], "edge": [(1, 2)], "node": [(1,), (2,), (3,)]})
+        return ground_program(parse_datalog_program(self.STRATIFIED + extra), db)
+
+    def test_negation_free_program_takes_one_least_model_pass(self, monkeypatch):
+        passes = count_least_model_passes(monkeypatch)
+        ground = GroundProgram((fact_rule(atom("a")), rule(atom("b"), [atom("a")]), constraint([atom("c")])))
+        models = StableModelSolver(SolverConfig(memoize=False)).all_stable_models(ground)
+        assert models == [frozenset({atom("a"), atom("b")})]
+        assert passes[0] == 1
+
+    def test_negation_free_program_still_checks_constraints(self, monkeypatch):
+        passes = count_least_model_passes(monkeypatch)
+        ground = GroundProgram((fact_rule(atom("a")), rule(atom("b"), [atom("a")]), constraint([atom("b")])))
+        assert StableModelSolver(SolverConfig(memoize=False)).all_stable_models(ground) == []
+        assert passes[0] == 1
+
+    def test_settled_program_returns_the_well_founded_model(self, monkeypatch):
+        ground = self.stratified_ground()
+        expected = perfect_model_ground(ground)
+        passes = count_least_model_passes(monkeypatch)
+        models = StableModelSolver(SolverConfig(memoize=False)).all_stable_models(ground)
+        assert models == [expected]
+        assert passes[0] == 3  # U_0, K_1 and U_1 = K_1; no re-derivation
+
+    def test_settled_program_still_checks_constraints(self):
+        violated = self.stratified_ground(":- unreached(3).")
+        kept = self.stratified_ground(":- unreached(1).")
+        solver = StableModelSolver(SolverConfig(memoize=False))
+        oracle = StableModelSolver(SolverConfig(use_well_founded=False, memoize=False))
+        assert solver.all_stable_models(violated) == oracle.all_stable_models(violated) == []
+        assert solver.all_stable_models(kept) == oracle.all_stable_models(kept) != []
+
+    def test_existence_check_of_a_decided_program_seeds_the_model_memo(self):
+        solver = StableModelSolver(SolverConfig(memoize=True))
+        consistent = self.stratified_ground()
+        inconsistent = GroundProgram((fact_rule(atom("a")), constraint([atom("a")])))
+        assert solver.has_stable_model(consistent)
+        assert not solver.has_stable_model(inconsistent)
+        stats = solver.cache_stats()
+        assert (stats["entries"], stats["existence_entries"], stats["misses"]) == (2, 0, 2)
+        assert list(solver.enumerate(consistent)) == [perfect_model_ground(consistent)]
+        assert list(solver.enumerate(inconsistent)) == []
+        stats = solver.cache_stats()
+        assert (stats["hits"], stats["misses"]) == (2, 2)
+
+    def test_memo_key_ignores_rule_order_and_duplicates(self):
+        solver = StableModelSolver(SolverConfig(memoize=True))
+        rules = self.stratified_ground().rules
+        assert solver.has_stable_model(GroundProgram(rules))
+        assert solver.has_stable_model(GroundProgram(tuple(reversed(rules)) + rules[:2]))
+        assert (solver.cache_hits, solver.cache_misses) == (1, 1)
+
+
+class TestMemoThreadSafety:
+    def test_concurrent_calls_survive_evictions(self):
+        """Threads evicting each other's entries never break a lookup.
+
+        With a two-entry memo over three programs, entries are evicted all
+        the time: a lookup whose entry another thread evicts between
+        finding and refreshing it must not raise ``KeyError``, and no
+        counter update may be lost.
+        """
+        programs = [
+            GroundProgram((fact_rule(atom("a", i)), Rule(atom("b", i), (atom("a", i),), (atom("c", i),))))
+            for i in range(3)
+        ]
+        expected = [[frozenset({atom("a", i), atom("b", i)})] for i in range(3)]
+        solver = StableModelSolver(SolverConfig(cache_size=2))
+        errors: list[Exception] = []
+
+        def work(offset: int) -> None:
+            for step in range(3000):
+                index = (step + offset) % len(programs)
+                try:
+                    if step % 2:
+                        assert list(solver.enumerate(programs[index])) == expected[index]
+                    else:
+                        assert solver.has_stable_model(programs[index])
+                except Exception as error:  # collected for the assertion below
+                    errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = solver.cache_stats()
+        assert stats["hits"] + stats["misses"] == 8 * 3000
+        assert stats["entries"] <= 2
 
 
 class TestModuleLevelHelpers:
