@@ -1,11 +1,9 @@
 """Package metadata.
 
 NumPy is deliberately an *extra* (``pip install repro[fast]``) rather than a
-hard dependency: it powers the columnar ground core
-(:mod:`repro.logic.columnar`) and the ``numpy.random`` sampler streams, but
-every code path degrades to a pure-Python implementation when it is absent
-— the PR 5 indexed join engine and the :mod:`repro.rng` fallback generators.
-CI runs the full tier-1 suite in both configurations.
+hard dependency: it backs only the ``numpy.random`` sampler streams of
+:mod:`repro.rng`, which falls back to pure-Python generators when it is
+absent.  CI runs the full tier-1 suite in both configurations.
 """
 
 from setuptools import find_packages, setup
@@ -24,7 +22,7 @@ setup(
         "networkx",
     ],
     extras_require={
-        # Vectorized columnar join core + numpy.random sampler streams.
+        # numpy.random sampler streams (repro.rng).
         "fast": ["numpy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },

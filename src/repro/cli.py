@@ -77,7 +77,6 @@ def _chase_config(args: argparse.Namespace) -> ChaseConfig:
         max_depth=args.max_depth,
         max_outcomes=args.max_outcomes,
         mass_tolerance=args.mass_tolerance,
-        incremental=not args.no_incremental,
         factorize=getattr(args, "factorize", False),
     )
 
@@ -103,27 +102,16 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--mass-tolerance", type=float, default=1e-9, help="truncation tolerance for infinite supports"
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="recompute every chase node's grounding from scratch (reference mode)",
-    )
-    parser.add_argument(
         "--factorize",
         action="store_true",
         help="decompose exact inference into independent ground components "
         "(falls back to the sequential chase when the program is connected)",
     )
     parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="disable the vectorized columnar join core and fall back to the "
-        "indexed engine (the automatic behaviour when NumPy is not installed)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="append a profile summary (chase tree size, cache hit rates, grounding time, "
-        "join-engine index probes vs. scans, plan-cache traffic and columnar batch volumes)",
+        "join-engine index probes vs. scans and plan-cache traffic)",
     )
 
 
@@ -759,10 +747,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_columnar", False):
-        from repro.logic.columnar import set_use_columnar
-
-        set_use_columnar(False)
     try:
         output = _COMMANDS[args.command](args)
     except (ReproError, OSError) as error:

@@ -154,10 +154,6 @@ class ChaseStats:
     join_full_scans: int = 0
     join_plans_compiled: int = 0
     join_plans_reused: int = 0
-    columnar_batches: int = 0
-    columnar_rows_selected: int = 0
-    columnar_rows_joined: int = 0
-    columnar_snapshot_copies: int = 0
 
     def merge_grounder(self, grounder: Grounder) -> None:
         grounder.stats.sync_join_counters()
@@ -167,10 +163,6 @@ class ChaseStats:
         self.join_full_scans = grounder.stats.full_scans
         self.join_plans_compiled = grounder.stats.plans_compiled
         self.join_plans_reused = grounder.stats.plans_reused
-        self.columnar_batches = grounder.stats.columnar_batches
-        self.columnar_rows_selected = grounder.stats.columnar_rows_selected
-        self.columnar_rows_joined = grounder.stats.columnar_rows_joined
-        self.columnar_snapshot_copies = grounder.stats.columnar_snapshot_copies
 
 
 @dataclass

@@ -10,14 +10,15 @@ connected components of the co-occurrence graph over ground atoms.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.gdatalog.syntax import GDatalogProgram
 from repro.logic.atoms import Atom
 from repro.logic.program import DependencyGraph
 from repro.logic.rules import Rule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "to_networkx",
@@ -82,7 +83,13 @@ def ground_atom_components(
 
 
 def to_networkx(program: GDatalogProgram) -> nx.MultiDiGraph:
-    """Export ``dg(Π)`` as a ``networkx`` multigraph with a ``negative`` edge attribute."""
+    """Export ``dg(Π)`` as a ``networkx`` multigraph with a ``negative`` edge attribute.
+
+    networkx is imported here, not at module level, so the CLI and the
+    engine start without it.
+    """
+    import networkx as nx
+
     graph: DependencyGraph = program.dependency_graph()
     result = nx.MultiDiGraph()
     for predicate in sorted(graph.vertices, key=str):

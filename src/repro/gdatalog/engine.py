@@ -454,9 +454,6 @@ class GDatalogEngine:
                 f"from-scratch groundings:  {stats.full_groundings}",
                 f"join probes/scans:        {stats.join_index_probes}/{stats.join_full_scans}",
                 f"join plans comp./reused:  {stats.join_plans_compiled}/{stats.join_plans_reused}",
-                f"columnar batches:         {stats.columnar_batches}",
-                f"columnar rows sel./join:  {stats.columnar_rows_selected}/{stats.columnar_rows_joined}",
-                f"columnar COW copies:      {stats.columnar_snapshot_copies}",
             ]
         lines += cache_profile_lines()
         return "\n".join(lines)
@@ -468,7 +465,6 @@ def cache_profile_lines() -> list[str]:
     Shared by :meth:`GDatalogEngine.profile_summary` and the CLI's
     ``sample --profile`` path (which never runs the exhaustive chase).
     """
-    from repro.logic.columnar import columnar_stats, use_columnar
     from repro.logic.intern import intern_stats
     from repro.logic.join import join_stats
     from repro.stable.solver import solver_cache_stats
@@ -478,7 +474,6 @@ def cache_profile_lines() -> list[str]:
     hit_rate = solver["hits"] / solver_total if solver_total else 0.0
     interned = intern_stats()
     joins = join_stats()
-    columnar = columnar_stats()
     return [
         "-- solver memo cache --",
         f"entries:                  {solver['entries']}",
@@ -489,10 +484,4 @@ def cache_profile_lines() -> list[str]:
         f"index probes/full scans:  {joins.index_probes}/{joins.full_scans}",
         f"plans compiled/reused:    {joins.plans_compiled}/{joins.plans_reused}",
         f"arg indexes built:        {joins.indexes_built}",
-        "-- columnar core (process-wide) --",
-        f"enabled:                  {use_columnar()}",
-        f"batches executed:         {joins.batches_executed}",
-        f"rows selected/joined:     {joins.rows_selected}/{joins.rows_joined}",
-        f"COW snapshot copies:      {joins.snapshot_copies}",
-        f"constants/plans interned: {columnar['constants']}/{columnar['plans']}",
     ]

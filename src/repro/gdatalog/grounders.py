@@ -45,16 +45,11 @@ naively-iterated reference implementation; property tests assert that the
 incremental states produce identical groundings.
 
 All rule matching — saturation, semi-naive propagation and constraint
-instantiation — runs through the dispatching join engine
-(:mod:`repro.logic.columnar`): head sets come from
-:func:`~repro.logic.columnar.make_fact_store` — columnar
-:class:`~repro.logic.columnar.FactStore` instances (NumPy id columns,
-vectorized batch joins) when NumPy is available, plain
-:class:`~repro.logic.join.ArgIndex` hash-bucket indexes otherwise — and the
-``iter_join`` / ``iter_join_seminaive`` dispatchers pick the batch or the
-indexed engine per call.  Groundings are bit-identical across all three
-engines (``tests/property/test_join_equivalence``,
-``tests/property/test_columnar_equivalence``).
+instantiation — runs through the indexed join engine
+(:mod:`repro.logic.join`): head sets are
+:class:`~repro.logic.join.ArgIndex` hash-bucket indexes, matched by
+``iter_join`` / ``iter_join_seminaive``.  Groundings are bit-identical to
+the naive matcher's (``tests/property/test_join_equivalence``).
 """
 
 from __future__ import annotations
@@ -68,9 +63,8 @@ from repro.gdatalog.atr import GroundAtRRule, is_consistent, pending_active_atom
 from repro.gdatalog.translate import TranslatedProgram
 from repro.logic.atoms import Atom, Predicate
 from repro.logic.database import Database
-from repro.logic.columnar import iter_join, iter_join_seminaive, make_fact_store
 from repro.logic.intern import intern_atom, intern_rule
-from repro.logic.join import join_stats
+from repro.logic.join import ArgIndex, iter_join, iter_join_seminaive, join_stats
 from repro.logic.rules import Rule, fact_rule
 from repro.logic.unify import FactIndex
 
@@ -113,12 +107,7 @@ class GrounderStats:
     full_scans: int = 0
     plans_compiled: int = 0
     plans_reused: int = 0
-    columnar_batches: int = 0
-    columnar_rows_selected: int = 0
-    columnar_rows_joined: int = 0
-    columnar_snapshot_copies: int = 0
     _join_baseline: tuple[int, int, int, int] = field(default=(0, 0, 0, 0), repr=False)
-    _columnar_baseline: tuple[int, int, int, int] = field(default=(0, 0, 0, 0), repr=False)
 
     def reset(self) -> None:
         self.full_groundings = 0
@@ -128,12 +117,7 @@ class GrounderStats:
         self.full_scans = 0
         self.plans_compiled = 0
         self.plans_reused = 0
-        self.columnar_batches = 0
-        self.columnar_rows_selected = 0
-        self.columnar_rows_joined = 0
-        self.columnar_snapshot_copies = 0
         self._join_baseline = join_stats().snapshot()
-        self._columnar_baseline = join_stats().columnar_snapshot()
 
     def sync_join_counters(self) -> None:
         """Refresh the join counters from the process-wide totals."""
@@ -143,12 +127,6 @@ class GrounderStats:
         self.full_scans = scans - base[1]
         self.plans_compiled = compiled - base[2]
         self.plans_reused = reused - base[3]
-        batches, selected, joined, copies = join_stats().columnar_snapshot()
-        cbase = self._columnar_baseline
-        self.columnar_batches = batches - cbase[0]
-        self.columnar_rows_selected = selected - cbase[1]
-        self.columnar_rows_joined = joined - cbase[2]
-        self.columnar_snapshot_copies = copies - cbase[3]
 
 
 class GroundingState:
@@ -300,7 +278,7 @@ class Grounder(abc.ABC):
     ) -> GroundingState:
         rules = {r for r in grounding if not r.is_constraint}
         constraints = {r for r in grounding if r.is_constraint}
-        heads = make_fact_store(r.head for r in rules)
+        heads = ArgIndex(r.head for r in rules)
         fired = {r for r in atr_rules if r.active_atom in heads}
         for rule_ in fired:
             heads.add(rule_.result_atom)
@@ -360,7 +338,7 @@ class Grounder(abc.ABC):
         that fired (callers subtract them as required by ``\\ Σ``).
         """
         derived_rules: set[Rule] = set()
-        heads = make_fact_store()
+        heads = ArgIndex()
 
         def add_rule(rule_: Rule) -> bool:
             if rule_ in derived_rules:
@@ -441,7 +419,7 @@ class SimpleGrounder(Grounder):
         """Seed the state with ``G(∅)``'s inputs and propagate everything as delta."""
         self._check_consistent(atr_rules)
         self.stats.full_groundings += 1
-        heads = make_fact_store()
+        heads = ArgIndex()
         rules: set[Rule] = set()
         delta = FactIndex()
         for rule_ in self._fact_rules + self._seed_rules:
@@ -524,7 +502,7 @@ class SimpleGrounder(Grounder):
                     worklist.append(rule_.head)
 
         surviving = set(old_root.rules) - overdeleted
-        heads = make_fact_store(r.head for r in surviving)
+        heads = ArgIndex(r.head for r in surviving)
         constraints = {
             c
             for c in old_root.constraints
@@ -733,7 +711,7 @@ class PerfectGrounder(Grounder):
         """
         instances: set[Rule] = set()
         if self._constraint_sources:
-            heads = make_fact_store(heads_of(current))
+            heads = ArgIndex(heads_of(current))
             for rule_ in self._constraint_sources:
                 for mapping in iter_join(rule_.positive_body, heads):
                     grounded = intern_rule(rule_.substitute(mapping))
@@ -749,7 +727,7 @@ class PerfectGrounder(Grounder):
         checkpoint: frozenset[Rule],
     ) -> GroundingState:
         constraints = self._instantiate_constraints(current)
-        heads = make_fact_store(r.head for r in current if not r.is_constraint)
+        heads = ArgIndex(r.head for r in current if not r.is_constraint)
         fired = {r for r in atr_rules if r.active_atom in heads}
         for rule_ in fired:
             heads.add(rule_.result_atom)

@@ -9,13 +9,6 @@ from repro.logic.parser import (
     parse_datalog_program,
     parse_gdatalog_program,
 )
-from repro.logic.columnar import (
-    ColumnarPlan,
-    FactStore,
-    make_fact_store,
-    set_use_columnar,
-    use_columnar,
-)
 from repro.logic.join import (
     ArgIndex,
     RulePlan,
@@ -61,11 +54,6 @@ __all__ = [
     "FactsView",
     "ArgIndex",
     "RulePlan",
-    "ColumnarPlan",
-    "FactStore",
-    "make_fact_store",
-    "set_use_columnar",
-    "use_columnar",
     "iter_join",
     "iter_join_seminaive",
     "match_conjunction_indexed",

@@ -104,11 +104,7 @@ class JoinStats:
     buckets, ``full_scans`` those that had to enumerate a predicate's whole
     extent (no bound position), ``indexes_built`` the lazily-constructed
     per-position hash indexes, and ``plans_compiled`` / ``plans_reused`` the
-    plan-cache traffic.  The columnar engine
-    (:mod:`repro.logic.columnar`) reports its batch activity here as well:
-    ``batches_executed`` whole-body array evaluations, ``rows_selected`` /
-    ``rows_joined`` the selection and join output row volumes, and
-    ``snapshot_copies`` copy-on-write column-buffer duplications.
+    plan-cache traffic.
 
     All mutation goes through the lock-guarded :meth:`bump` (plain ``+=`` on
     a shared counter is a read-modify-write race under the threaded ``serve``
@@ -120,23 +116,12 @@ class JoinStats:
     indexes_built: int = 0
     plans_compiled: int = 0
     plans_reused: int = 0
-    batches_executed: int = 0
-    rows_selected: int = 0
-    rows_joined: int = 0
-    snapshot_copies: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Atomically add *amount* to *counter* (thread-safe)."""
         with self._lock:
             setattr(self, counter, getattr(self, counter) + amount)
-
-    def bump_batch(self, selected: int, joined: int) -> None:
-        """Record one columnar whole-body evaluation (single lock acquisition)."""
-        with self._lock:
-            self.batches_executed += 1
-            self.rows_selected += selected
-            self.rows_joined += joined
 
     def reset(self) -> None:
         with self._lock:
@@ -145,20 +130,11 @@ class JoinStats:
             self.indexes_built = 0
             self.plans_compiled = 0
             self.plans_reused = 0
-            self.batches_executed = 0
-            self.rows_selected = 0
-            self.rows_joined = 0
-            self.snapshot_copies = 0
 
     def snapshot(self) -> tuple[int, int, int, int]:
         """(probes, scans, compiled, reused) — for delta-based per-run stats."""
         with self._lock:
             return (self.index_probes, self.full_scans, self.plans_compiled, self.plans_reused)
-
-    def columnar_snapshot(self) -> tuple[int, int, int, int]:
-        """(batches, selected, joined, snapshot copies) — columnar deltas."""
-        with self._lock:
-            return (self.batches_executed, self.rows_selected, self.rows_joined, self.snapshot_copies)
 
 
 #: The process-wide counter instance.

@@ -1,11 +1,11 @@
 """Seedable RNG substrate: NumPy-backed when available, pure Python otherwise.
 
-NumPy is an *optional* accelerator dependency of this package
-(``pip install repro[fast]``): the columnar join core
-(:mod:`repro.logic.columnar`) vectorizes over NumPy arrays, and the samplers
-historically drew from ``numpy.random``.  Everything must keep working — same
-APIs, deterministic seeded streams — when NumPy is absent, falling back to
-the standard library.
+NumPy is an *optional* dependency of this package (``pip install
+repro[fast]``), and this module is its only user: the samplers draw from
+``numpy.random`` when it is installed, which keeps seeded streams identical
+to earlier releases.  Everything must keep working — same APIs,
+deterministic seeded streams — when NumPy is absent, falling back to the
+standard library.
 
 This module is the single place that decides which backend is in use:
 

@@ -82,10 +82,6 @@ def _join_stats_snapshot() -> dict[str, int]:
         "indexes_built": JOIN_STATS.indexes_built,
         "plans_compiled": JOIN_STATS.plans_compiled,
         "plans_reused": JOIN_STATS.plans_reused,
-        "batches_executed": JOIN_STATS.batches_executed,
-        "rows_selected": JOIN_STATS.rows_selected,
-        "rows_joined": JOIN_STATS.rows_joined,
-        "snapshot_copies": JOIN_STATS.snapshot_copies,
     }
 
 

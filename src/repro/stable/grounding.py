@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.logic.atoms import Atom
 from repro.logic.database import Database
-from repro.logic.columnar import iter_join, make_fact_store
-from repro.logic.join import ArgIndex
+from repro.logic.join import ArgIndex, iter_join
 from repro.logic.program import DatalogProgram
 from repro.logic.rules import Rule, fact_rule
 from repro.logic.unify import FactIndex, match_conjunction
@@ -102,10 +101,8 @@ def ground_rules_against(rule: Rule, facts: FactIndex) -> Iterator[Rule]:
     Only homomorphisms of the positive body are considered; negative body
     atoms are instantiated by the same substitution (safety guarantees they
     become ground).  When *facts* is an :class:`~repro.logic.join.ArgIndex`
-    the instances are enumerated through the dispatching join engine —
-    vectorized columnar batches for a large
-    :class:`~repro.logic.columnar.FactStore`, indexed bucket probing
-    otherwise; a plain :class:`FactIndex` falls back to the naive reference
+    the instances are enumerated by the indexed join engine's bucket
+    probing; a plain :class:`FactIndex` falls back to the naive reference
     matcher (upgrading a caller-owned, still-mutating index here would read
     a stale copy).
     """
@@ -137,7 +134,7 @@ def ground_program(program: DatalogProgram, database: Database | Iterable[Atom] 
     else:
         facts = tuple(database)
 
-    derivable = make_fact_store(facts)
+    derivable = ArgIndex(facts)
     ground_rules: set[Rule] = {fact_rule(a) for a in facts}
 
     proper = [r for r in program.rules if not r.is_constraint]

@@ -17,9 +17,8 @@ from typing import Iterable
 from repro.exceptions import StratificationError
 from repro.logic.atoms import Atom, Predicate
 from repro.logic.database import Database
+from repro.logic.join import ArgIndex, iter_join
 from repro.logic.program import DatalogProgram
-from repro.logic.columnar import iter_join, make_fact_store
-from repro.logic.join import ArgIndex
 from repro.logic.rules import Rule
 from repro.logic.unify import FactIndex
 from repro.stable.fixpoint import violated_constraints
@@ -40,7 +39,7 @@ def perfect_model(program: DatalogProgram, database: Database | Iterable[Atom] =
     """
     strata = program.stratification()
     facts = tuple(database.facts) if isinstance(database, Database) else tuple(database)
-    model = make_fact_store(facts)
+    model = ArgIndex(facts)
 
     for component in strata:
         stratum_rules = [r for r in program.proper_rules() if r.head.predicate in component]

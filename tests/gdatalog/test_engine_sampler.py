@@ -138,6 +138,15 @@ class TestSampler:
         assert all(o is not None for o in outcomes)
 
 
+class TestProfile:
+    def test_profile_summary_reports_the_chase_and_join_engine(self, resilience_engine):
+        summary = resilience_engine.profile_summary()
+        assert "mode:                     incremental" in summary
+        assert "join probes/scans:" in summary
+        assert "-- join engine (process-wide) --" in summary
+        assert "arg indexes built:" in summary
+
+
 class TestDependencyExports:
     def test_networkx_export(self):
         graph = to_networkx(dime_quarter_program())
@@ -146,6 +155,30 @@ class TestDependencyExports:
             (u, v) for u, v, data in graph.edges(data=True) if data.get("negative")
         ]
         assert ("somedimetail", "quartertail") in negative_edges
+
+    def test_networkx_is_imported_only_on_export(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.gdatalog.dependency import to_networkx\n"
+            "from repro.logic import parse_gdatalog_program\n"
+            "program = parse_gdatalog_program(open('examples/programs/dime_quarter.dl').read())\n"
+            "before = 'networkx' in sys.modules\n"
+            "graph = to_networkx(program)\n"
+            "print(before, 'networkx' in sys.modules, graph.number_of_nodes() > 0)\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=str(root), env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True", "True"]
 
     def test_dot_export_dashes_negative_edges(self):
         dot = to_dot(dime_quarter_program())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.logic.atoms import atom, fact
+from repro.logic.atoms import Predicate, atom, fact
 from repro.logic.join import (
     ArgIndex,
+    JoinStats,
     RulePlan,
     clear_plan_cache,
     iter_join,
@@ -58,6 +61,13 @@ class TestArgIndex:
         index.probe(predicate, 0, Constant(1))
         assert not index.add(fact("edge", 1, 2))
         assert len(index.probe(predicate, 0, Constant(1))) == 1
+
+    def test_unknown_predicate_has_empty_buckets_and_zero_estimate(self):
+        index = ArgIndex(EDGES)
+        unknown = Predicate("nope", 2)
+        assert set(index.probe(unknown, 0, Constant(1))) == set()
+        assert index.estimated_bucket_size(unknown, 0) == 0.0
+        assert set(index.facts_for(unknown)) == set()
 
     def test_copy_is_independent_in_both_directions(self):
         index = ArgIndex(EDGES)
@@ -243,3 +253,34 @@ class TestRulePlanCache:
         assert stats.index_probes > probes_before
         list(iter_join((atom("edge", "X", "Y"),), index))
         assert stats.full_scans > scans_before
+
+
+class TestJoinStats:
+    def test_snapshot_reports_probes_scans_compiled_reused(self):
+        stats = JoinStats()
+        for amount, counter in enumerate(
+            ("index_probes", "full_scans", "indexes_built", "plans_compiled", "plans_reused"), 1
+        ):
+            stats.bump(counter, amount)
+        assert stats.snapshot() == (1, 2, 4, 5)
+        assert stats.indexes_built == 3
+
+    def test_reset_zeroes_every_counter(self):
+        stats = JoinStats(index_probes=3, full_scans=2, indexes_built=1, plans_compiled=4, plans_reused=5)
+        stats.reset()
+        assert stats.snapshot() == (0, 0, 0, 0)
+        assert stats.indexes_built == 0
+
+    def test_concurrent_bumps_are_not_lost(self):
+        stats = JoinStats()
+
+        def worker():
+            for _ in range(2000):
+                stats.bump("index_probes")
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert stats.index_probes == 8000

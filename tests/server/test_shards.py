@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import signal
 import time
@@ -10,7 +11,8 @@ import time
 import pytest
 
 from repro.runtime.service import InferenceService
-from repro.server.shards import ShardConfig, ShardRouter, canonical_program_key
+from repro.logic.join import JOIN_STATS, JoinStats
+from repro.server.shards import ShardConfig, ShardRouter, _join_stats_snapshot, canonical_program_key
 
 PROGRAM = """
 coin1(X, flip<0.5>[1, X]) :- src1(X).
@@ -58,6 +60,13 @@ class TestRouting:
 
         with pytest.raises(RuntimeError, match="start"):
             asyncio.run(attempt())
+
+
+def test_join_stats_snapshot_mirrors_every_join_counter():
+    counters = {f.name for f in dataclasses.fields(JoinStats) if not f.name.startswith("_")}
+    snapshot = _join_stats_snapshot()
+    assert set(snapshot) == counters
+    assert snapshot == {name: getattr(JOIN_STATS, name) for name in counters}
 
 
 class TestWorkers:

@@ -38,6 +38,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "p.dl", "--grounder", "clever"])
 
+    @pytest.mark.parametrize("flag", ["--no-columnar", "--no-incremental"])
+    def test_removed_reference_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(COIN_PROGRAM), flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run_prints_space_summary(self, capsys):
@@ -285,6 +292,19 @@ class TestCommands:
         )
         assert result.returncode == 0
         assert "dependency graph" in result.stdout
+
+    def test_cli_import_leaves_networkx_unloaded(self):
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('networkx' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            cwd=str(REPO_ROOT),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestSliceFlag:

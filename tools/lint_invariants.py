@@ -84,10 +84,6 @@ SHARED_COUNTERS = {
     "indexes_built",
     "plans_compiled",
     "plans_reused",
-    "batches_executed",
-    "rows_selected",
-    "rows_joined",
-    "snapshot_copies",
 }
 
 
