@@ -45,6 +45,10 @@ class SpanIndex:
     rule_spans: dict[GDatalogRule, SourceSpan] = field(default_factory=dict)
     predicate_spans: dict[str, SourceSpan] = field(default_factory=dict)
     fact_spans: dict[Atom, SourceSpan] = field(default_factory=dict)
+    #: Line of each fact in a text holding one ``fact.`` per line from
+    #: column 1 (the canonical database layout); consulted for facts that
+    #: have no entry in :attr:`fact_spans`.
+    fact_lines: dict[Atom, int] = field(default_factory=dict)
 
     def for_rule(self, rule_: GDatalogRule) -> SourceSpan | None:
         return self.rule_spans.get(rule_)
@@ -57,7 +61,11 @@ class SpanIndex:
         return span
 
     def for_fact(self, fact: Atom) -> SourceSpan | None:
-        return self.fact_spans.get(fact)
+        span = self.fact_spans.get(fact)
+        if span is None and fact in self.fact_lines:
+            line = self.fact_lines[fact]
+            span = SourceSpan(line, 1, line, len(str(fact)) + 2)
+        return span
 
 
 def diag(
@@ -121,8 +129,8 @@ def schema_diagnostics(
     for predicate in program.predicates():
         arities.setdefault(predicate.name, set()).add(predicate.arity)
     if database is not None:
-        for fact in database.facts:
-            arities.setdefault(fact.predicate.name, set()).add(fact.predicate.arity)
+        for predicate in database.schema:
+            arities.setdefault(predicate.name, set()).add(predicate.arity)
     for name in sorted(arities):
         seen = arities[name]
         if len(seen) > 1:
@@ -137,9 +145,16 @@ def schema_diagnostics(
             )
     if database is not None:
         intensional = program.intensional_predicates()
+        # Only facts of derived predicates are reported: filter before the
+        # per-fact ``str`` sort that picks each predicate's example.
+        asserted = (
+            []
+            if database.schema.isdisjoint(intensional)
+            else [fact for fact in database.facts if fact.predicate in intensional]
+        )
         flagged: set[Predicate] = set()
-        for fact in sorted(database.facts, key=str):
-            if fact.predicate in intensional and fact.predicate not in flagged:
+        for fact in sorted(asserted, key=str):
+            if fact.predicate not in flagged:
                 flagged.add(fact.predicate)
                 diagnostics.append(
                     diag(
@@ -174,7 +189,7 @@ def derivable_predicates(
     if database is None:
         derivable |= set(program.extensional_predicates())
     else:
-        derivable |= {fact.predicate for fact in database.facts}
+        derivable |= database.schema
     rules = [r for r in program.rules if not r.is_constraint]
     changed = True
     while changed:

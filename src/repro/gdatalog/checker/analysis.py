@@ -10,6 +10,8 @@ computed once and reused instead of re-derived per request.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 from typing import Any, Iterable, Sequence
 
@@ -35,6 +37,8 @@ from repro.logic.parser import (
     ParsedAtom,
     ParsedDeltaTerm,
     ParsedRule,
+    database_reads_back,
+    parse_fact_lines,
     parse_statement_tokens,
     split_statements,
     tokenize,
@@ -53,6 +57,10 @@ def _sort_key(diagnostic: Diagnostic) -> tuple:
         diagnostic.code,
         diagnostic.message,
     )
+
+
+def _ordered(diagnostics: Iterable[Diagnostic]) -> tuple[Diagnostic, ...]:
+    return tuple(sorted(diagnostics, key=_sort_key))
 
 
 class ProgramAnalysis:
@@ -77,10 +85,19 @@ class ProgramAnalysis:
         diagnostics: Iterable[Diagnostic],
         source: str | None = None,
         database_source: str | None = None,
+        database_diagnostics: Iterable[Diagnostic] = (),
+        program_spans: SpanIndex | None = None,
     ):
         self.program = program
         self.database = database
-        self.diagnostics: tuple[Diagnostic, ...] = tuple(sorted(diagnostics, key=_sort_key))
+        # The program half — the findings that do not depend on the
+        # database, and the rule and predicate spans of the program text —
+        # kept for :meth:`with_database`.
+        self._program_diagnostics = tuple(diagnostics)
+        self._program_spans = program_spans if program_spans is not None else SpanIndex()
+        self.diagnostics: tuple[Diagnostic, ...] = _ordered(
+            self._program_diagnostics + tuple(database_diagnostics)
+        )
         self.source = source
         self.database_source = database_source
 
@@ -106,6 +123,38 @@ class ProgramAnalysis:
         self.program_digest = digest.hexdigest()
         self._decompositions: dict[tuple[Database, str], Any] = {}
         self._patchable: dict[frozenset[Predicate], bool] = {}
+
+    def with_database(
+        self, database: Database, database_source: str, facts: Sequence[Atom]
+    ) -> "ProgramAnalysis":
+        """This analysis for another database, written one fact per line.
+
+        *database_source* must hold the facts of *database* as
+        ``f"{fact}."`` lines from column 1, in the order of *facts* — the
+        service's canonical layout.  The result equals
+        ``check_source(self.source, database_source)``: the program half
+        (rules and statement diagnostics, predicate graph, choice structure,
+        digest, program-only passes) is shared with this analysis, and only
+        the two database passes run again, with fact spans read off the
+        layout.  When some fact's text would not parse back to the fact
+        (see :func:`~repro.logic.parser.database_reads_back`), the text is
+        checked in full instead.  Only analyses made by :func:`check_source`
+        carry the sources this needs.
+        """
+        if self.source is None:
+            raise ValidationError("with_database needs an analysis made by check_source")
+        if not database_reads_back(database):
+            return check_source(self.source, database_source, self.program.registry)
+        spans = dataclasses.replace(
+            self._program_spans, fact_lines={fact: line for line, fact in enumerate(facts, 1)}
+        )
+        derived = copy.copy(self)
+        derived.database = database
+        derived.database_source = database_source
+        derived.diagnostics = _ordered(
+            self._program_diagnostics + tuple(_database_passes(self.program, database, spans))
+        )
+        return derived
 
     # -- verdicts ------------------------------------------------------------
 
@@ -222,17 +271,23 @@ class ProgramAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def _object_level_diagnostics(
-    program: GDatalogProgram, database: Database | None, spans: SpanIndex
-) -> list[Diagnostic]:
+def _program_passes(program: GDatalogProgram, spans: SpanIndex) -> list[Diagnostic]:
+    """The object-level passes that read the program alone."""
     diagnostics: list[Diagnostic] = []
     diagnostics.extend(stratification_diagnostics(program, spans))
-    diagnostics.extend(schema_diagnostics(program, database, spans))
-    diagnostics.extend(derivability_diagnostics(program, database, spans))
     diagnostics.extend(unused_diagnostics(program, spans))
     diagnostics.extend(choice_diagnostics(program, spans))
     diagnostics.extend(cost_smell_diagnostics(program, spans))
     return diagnostics
+
+
+def _database_passes(
+    program: GDatalogProgram, database: Database | None, spans: SpanIndex
+) -> list[Diagnostic]:
+    """The object-level passes that also read the database."""
+    return schema_diagnostics(program, database, spans) + derivability_diagnostics(
+        program, database, spans
+    )
 
 
 def analyze_program(
@@ -245,7 +300,10 @@ def analyze_program(
     """
     spans = SpanIndex()
     return ProgramAnalysis(
-        program, database, _object_level_diagnostics(program, database, spans)
+        program,
+        database,
+        _program_passes(program, spans),
+        database_diagnostics=_database_passes(program, database, spans),
     )
 
 
@@ -394,6 +452,18 @@ def _check_statement(
 def _check_database_source(
     database_source: str, spans: SpanIndex, diagnostics: list[Diagnostic]
 ) -> Database:
+    lines = parse_fact_lines(database_source)
+    if lines is not None:
+        for fact, span in lines:
+            spans.fact_spans.setdefault(fact, span)
+        return Database(fact for fact, _ in lines)
+    return _check_database_statements(database_source, spans, diagnostics)
+
+
+def _check_database_statements(
+    database_source: str, spans: SpanIndex, diagnostics: list[Diagnostic]
+) -> Database:
+    """:func:`_check_database_source` on the generic path: per-statement recovery."""
     facts: list[Atom] = []
     try:
         tokens = tokenize(database_source)
@@ -445,11 +515,17 @@ def check_source(
     single check reports as many findings as possible.  The returned
     analysis's program contains every well-formed rule (it equals the
     user's program exactly when :attr:`ProgramAnalysis.ok` holds).
+
+    A database text of one ground fact per line is read with one regex
+    match per line (:func:`~repro.logic.parser.parse_fact_lines`); any
+    other database text falls back, as a whole, to the per-statement
+    path, so diagnostics on malformed input are the same either way.
     """
     from repro.distributions.registry import default_registry
 
     active_registry = registry if registry is not None else default_registry()
     diagnostics: list[Diagnostic] = []
+    database_diagnostics: list[Diagnostic] = []
     spans = SpanIndex()
     rules: list[GDatalogRule] = []
 
@@ -468,7 +544,7 @@ def check_source(
         if rule_ is not None:
             rules.append(rule_)
 
-    database = _check_database_source(database_source, spans, diagnostics)
+    database = _check_database_source(database_source, spans, database_diagnostics)
 
     try:
         program = GDatalogProgram(rules, active_registry)
@@ -476,11 +552,16 @@ def check_source(
         diagnostics.append(diag("GDL003", f"invalid program: {error}"))
         program = GDatalogProgram((), active_registry)
 
-    diagnostics.extend(_object_level_diagnostics(program, database, spans))
+    diagnostics.extend(_program_passes(program, spans))
+    database_diagnostics.extend(_database_passes(program, database, spans))
     return ProgramAnalysis(
         program,
         database,
         diagnostics,
         source=program_source,
         database_source=database_source,
+        database_diagnostics=database_diagnostics,
+        program_spans=SpanIndex(
+            rule_spans=spans.rule_spans, predicate_spans=spans.predicate_spans
+        ),
     )

@@ -422,11 +422,10 @@ def _as_arg_index(facts: FactIndex | Iterable[Atom]) -> ArgIndex:
 
 
 def _normalize_binding(binding: Substitution | Mapping[Variable, Term] | None) -> dict[Variable, Term]:
+    """The caller's binding as a dict, without identity pairs (``{Y: Y}`` binds nothing)."""
     if binding is None:
         return {}
-    if isinstance(binding, Substitution):
-        return binding.as_dict()
-    return dict(binding)
+    return {var: term for var, term in binding.items() if var != term}
 
 
 def iter_join(

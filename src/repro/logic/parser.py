@@ -51,6 +51,8 @@ __all__ = [
     "parse_gdatalog_program",
     "parse_atom",
     "parse_database",
+    "parse_fact_lines",
+    "database_reads_back",
 ]
 
 
@@ -290,16 +292,10 @@ class _Parser:
 
     def _term(self) -> Term:
         token = self._advance()
-        if token.kind == "NUMBER":
-            if "." in token.text:
-                return Constant(float(token.text))
-            return Constant(int(token.text))
-        if token.kind == "STRING":
-            return Constant(token.text[1:-1])
-        if token.kind == "IDENT":
-            if token.text[0].isupper() or token.text[0] == "_":
-                return Variable(token.text)
-            return Constant(token.text)
+        if token.kind == "IDENT" and (token.text[0].isupper() or token.text[0] == "_"):
+            return Variable(token.text)
+        if token.kind in ("NUMBER", "STRING", "IDENT"):
+            return _constant(token.text)
         raise ParseError(f"expected a term, found {token.text!r}", token.line, token.column)
 
 
@@ -360,8 +356,108 @@ def parse_atom(source: str) -> Atom:
     return _parsed_atom_to_atom(parsed)
 
 
+#: One whole line holding one ground fact, ``name(arg, ...).`` or ``name.``,
+#: in the tokenizer's own terms: an arg is a NUMBER, a STRING or a lowercase
+#: identifier, whitespace is SKIP.  Groups: the name, the argument text,
+#: and an empty group marking the dot.
+_TOKEN_PATTERNS = dict(_TOKEN_SPEC)
+_WS = f"(?:{_TOKEN_PATTERNS['SKIP']})?"
+_LOWER_IDENT = r"[a-z][A-Za-z0-9_]*"
+_FACT_ARG = f"{_TOKEN_PATTERNS['NUMBER']}|{_TOKEN_PATTERNS['STRING']}|{_LOWER_IDENT}"
+_FACT_LINE = re.compile(
+    rf"{_WS}({_LOWER_IDENT}){_WS}"
+    rf"(?:\(({_WS}(?:{_FACT_ARG}){_WS}(?:,{_WS}(?:{_FACT_ARG}){_WS})*)\){_WS})?"
+    rf"()\.{_WS}"
+)
+_FACT_ARG_TOKEN = re.compile(_FACT_ARG)
+_FACT_NAME = re.compile(_LOWER_IDENT)
+
+
+def _constant(text: str) -> Constant:
+    """The constant a NUMBER, STRING or lowercase IDENT token denotes."""
+    first = text[0]
+    if first == '"':
+        return Constant(text[1:-1])
+    if "a" <= first <= "z":
+        return Constant(text)
+    return Constant(float(text) if "." in text else int(text))
+
+
+def parse_fact_lines(source: str) -> list[tuple[Atom, SourceSpan]] | None:
+    """The facts of *source* with their statement spans, or ``None``.
+
+    The fast path of :func:`parse_database` and the checker: one regex match
+    per line.  It applies only when every line is blank (``[ \\t\\r]*``) or
+    holds exactly one ground fact; any other line — a comment, a rule, a
+    variable, two facts on a line, a fact split over two lines — returns
+    ``None`` and the caller parses the whole text on the generic path, so
+    errors and diagnostics stay those of the tokenizer and parser.  Lines
+    split on ``"\\n"`` only, as the tokenizer counts them, and each span
+    equals the generic statement span (the name's column to the column
+    after the dot).
+    """
+    facts: list[tuple[Atom, SourceSpan]] = []
+    predicates: dict[tuple[str, int], Predicate] = {}
+    constants: dict[str, Constant] = {}
+    for number, line in enumerate(source.split("\n"), 1):
+        match = _FACT_LINE.fullmatch(line)
+        if match is None:
+            if line.strip(" \t\r"):
+                return None
+            continue
+        name, arg_text = match.group(1, 2)
+        if arg_text is None:
+            tokens: list[str] = []
+        elif '"' in arg_text:
+            tokens = _FACT_ARG_TOKEN.findall(arg_text)
+        else:
+            tokens = [token.strip(" \t\r") for token in arg_text.split(",")]
+        args = []
+        for token in tokens:
+            constant = constants.get(token)
+            if constant is None:
+                constant = constants[token] = _constant(token)
+            args.append(constant)
+        predicate = predicates.get((name, len(args)))
+        if predicate is None:
+            predicate = predicates[name, len(args)] = Predicate(name, len(args))
+        span = SourceSpan(number, match.start(1) + 1, number, match.start(3) + 2)
+        facts.append((Atom(predicate, tuple(args)), span))
+    return facts
+
+
+def database_reads_back(database: Database) -> bool:
+    """Whether each fact of *database*, written as ``f"{fact}."``, parses back to itself.
+
+    ``str`` writes some constants in forms the grammar cannot read —
+    floats as ``1e-05``, non-ASCII identifiers unquoted — and a predicate
+    built in code may have any name.
+    """
+    if not all(_FACT_NAME.fullmatch(p.name) for p in database.schema):
+        return False
+    for constant in database.domain():
+        text = str(constant)
+        if _FACT_ARG_TOKEN.fullmatch(text) is None or _constant(text) != constant:
+            return False
+    return True
+
+
 def parse_database(source: str) -> Database:
-    """Parse a sequence of facts (``atom.`` statements) into a :class:`Database`."""
+    """Parse a sequence of facts (``atom.`` statements) into a :class:`Database`.
+
+    A text of one ground fact per line takes the line-regex fast path of
+    :func:`parse_fact_lines`; anything else (comments, several facts on a
+    line, malformed input) is parsed by the generic tokenizer and parser,
+    which also raises the errors.
+    """
+    lines = parse_fact_lines(source)
+    if lines is not None:
+        return Database(fact for fact, _ in lines)
+    return _parse_database_statements(source)
+
+
+def _parse_database_statements(source: str) -> Database:
+    """:func:`parse_database` on the generic path (the fast path's reference)."""
     statements = _Parser(tokenize(source)).parse_program()
     facts: list[Atom] = []
     for statement in statements:

@@ -161,6 +161,13 @@ class FactIndex:
         return duplicate
 
 
+def _initial_binding(binding: Substitution | None) -> Substitution:
+    """The caller's binding without identity pairs: ``{Y: Y}`` binds nothing."""
+    if binding is None:
+        return Substitution()
+    return Substitution.of((var, term) for var, term in binding.items() if var != term)
+
+
 def match_conjunction(
     patterns: Sequence[Atom],
     facts: FactIndex | Iterable[Atom],
@@ -175,7 +182,7 @@ def match_conjunction(
     library targets.
     """
     index = facts if isinstance(facts, FactIndex) else FactIndex(facts)
-    start = binding if binding is not None else Substitution()
+    start = _initial_binding(binding)
 
     if not patterns:
         yield start
@@ -220,7 +227,7 @@ def match_conjunction_seminaive(
     ``i`` the ``i``-th atom is matched against *delta* only, earlier atoms
     against ``facts − delta``, later atoms against all of *facts*.
     """
-    start = binding if binding is not None else Substitution()
+    start = _initial_binding(binding)
     if not patterns or not len(delta):
         return
 

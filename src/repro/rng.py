@@ -7,13 +7,19 @@ to earlier releases.  Everything must keep working — same APIs,
 deterministic seeded streams — when NumPy is absent, falling back to the
 standard library.
 
-This module is the single place that decides which backend is in use:
+This module is the single place that decides which backend is in use.
+NumPy is imported on first use — the first seeded draw or the first read of
+one of the names below — not when this module is imported, so commands that
+never sample never load it:
 
-* :data:`HAVE_NUMPY` — whether ``import numpy`` succeeded at process start;
-* :class:`SeedSequence` / :func:`default_rng` — re-exports of
-  ``numpy.random`` when available, or the pure-Python stand-ins below;
+* :data:`HAVE_NUMPY` — whether ``import numpy`` succeeds;
+* :class:`SeedSequence` / :class:`Generator` — ``numpy.random``'s classes
+  when available, or the pure-Python stand-ins below;
+* :func:`default_rng` — ``numpy.random.default_rng`` or its stand-in;
 * :func:`generate_uint64` — one 64-bit word of seed material from a
   :class:`SeedSequence` (used to derive trigger seeds for forked workers).
+
+The first three resolve through the module's ``__getattr__`` (PEP 562).
 
 The fallback :class:`SeedSequence` mirrors the *shape* of NumPy's API
 (``spawn`` producing statistically independent children, ``generate_state``
@@ -28,6 +34,7 @@ library uses (``random``, ``geometric``, ``poisson``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import secrets
@@ -42,12 +49,16 @@ __all__ = [
     "sqrt",
 ]
 
-try:  # pragma: no cover - exercised via the no-NumPy CI job
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
-HAVE_NUMPY = _np is not None
+@functools.cache
+def _numpy():
+    """The ``numpy`` module, or ``None`` when it is not installed (imported once)."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised via the no-NumPy CI job
+        return None
+    return numpy
+
 
 #: Mask selecting one 64-bit word.
 _UINT64_MASK = (1 << 64) - 1
@@ -173,20 +184,30 @@ def _fallback_default_rng(seed: object = None) -> _FallbackGenerator:
     return _FallbackGenerator(material)
 
 
-if HAVE_NUMPY:
-    SeedSequence = _np.random.SeedSequence
-    Generator = _np.random.Generator
-    default_rng = _np.random.default_rng
+def default_rng(seed: object = None):
+    """A seeded generator: ``numpy.random.default_rng(seed)`` or its stand-in."""
+    numpy = _numpy()
+    if numpy is None:
+        return _fallback_default_rng(seed)
+    return numpy.random.default_rng(seed)
 
-    def generate_uint64(sequence: "SeedSequence") -> int:
-        """One deterministic 64-bit word of seed material from *sequence*."""
-        return int(sequence.generate_state(1, dtype=_np.uint64)[0])
 
-else:  # pragma: no cover - exercised via the no-NumPy CI job
-    SeedSequence = _FallbackSeedSequence
-    Generator = _FallbackGenerator
-    default_rng = _fallback_default_rng
-
-    def generate_uint64(sequence: "_FallbackSeedSequence") -> int:
-        """One deterministic 64-bit word of seed material from *sequence*."""
+def generate_uint64(sequence) -> int:
+    """One deterministic 64-bit word of seed material from *sequence*."""
+    numpy = _numpy()
+    if numpy is None:
         return int(sequence.generate_state(1)[0])
+    return int(sequence.generate_state(1, dtype=numpy.uint64)[0])
+
+
+def __getattr__(name: str):
+    # Any other name — including the import system's probes such as
+    # ``__path__`` — must fail before NumPy is touched.
+    if name not in ("HAVE_NUMPY", "SeedSequence", "Generator"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    numpy = _numpy()
+    if name == "HAVE_NUMPY":
+        return numpy is not None
+    if name == "SeedSequence":
+        return _FallbackSeedSequence if numpy is None else numpy.random.SeedSequence
+    return _FallbackGenerator if numpy is None else numpy.random.Generator

@@ -54,7 +54,7 @@ import os
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ChaseLimitError
 from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseNode, ChaseResult, ChaseStats
@@ -62,7 +62,10 @@ from repro.gdatalog.grounders import Grounder
 from repro.gdatalog.outcomes import PossibleOutcome
 from repro.gdatalog.probability_space import OutputSpace
 from repro.gdatalog.sampler import Estimate, MonteCarloSampler
-from repro.rng import SeedSequence, default_rng, generate_uint64, sqrt
+from repro.rng import default_rng, generate_uint64, sqrt
+
+if TYPE_CHECKING:
+    from repro.rng import SeedSequence
 
 __all__ = [
     "ParallelChaseExplorer",
@@ -88,6 +91,8 @@ def spawn_seed_sequences(seed: int | None, count: int) -> list[SeedSequence]:
     independent and deterministic in *seed*, so multi-worker runs are
     reproducible without sharing a stream.
     """
+    from repro.rng import SeedSequence  # resolved here: it picks the RNG backend
+
     return list(SeedSequence(seed).spawn(count))
 
 

@@ -67,6 +67,12 @@ from repro.runtime.pool import ParallelChaseExplorer
 __all__ = ["ServiceStats", "InferenceService", "UpdateResult"]
 
 
+def _canonical_layout(database: Database) -> tuple[list[Atom], str]:
+    """The facts of *database* in canonical order and their text, one ``fact.`` a line."""
+    facts = sorted(database.facts, key=Atom.sort_key)
+    return facts, "\n".join(f"{fact}." for fact in facts)
+
+
 @dataclass
 class ServiceStats:
     """Cache counters of one service instance.
@@ -247,7 +253,7 @@ class InferenceService:
         same :class:`Database`, so it is the textual form :meth:`update`
         returns to clients — querying with it hits the maintained entry.
         """
-        return "\n".join(f"{fact}." for fact in sorted(database.facts, key=Atom.sort_key))
+        return _canonical_layout(database)[1]
 
     # -- static checking -----------------------------------------------------------
 
@@ -267,18 +273,35 @@ class InferenceService:
                 self._analyses.move_to_end(raw)
                 return analysis
         analysis = check_source(program_source, database_source)
+        self._remember_analysis(raw, analysis)
+        return analysis
+
+    def _remember_analysis(self, raw: tuple[str, str], analysis: ProgramAnalysis) -> None:
         with self._lock:
             self._analyses[raw] = analysis
             if len(self._analyses) > self._analyses_limit:
                 self._analyses.popitem(last=False)
+
+    def _validated(self, program_source: str, database_source: str) -> ProgramAnalysis | None:
+        """The validation gate: the request's analysis, or ``None`` without validation.
+
+        Callers run it *before* taking the global lock, so a cold check
+        never blocks cache hits on other entries; :meth:`_lookup` then takes
+        the analysis as an argument.
+        """
+        if not self.validate:
+            return None
+        analysis = self.check(program_source, database_source)
+        analysis.raise_for_errors()
         return analysis
 
     # -- cache management ----------------------------------------------------------
 
     def engine(self, program_source: str, database_source: str = "") -> GDatalogEngine:
         """The cached engine for a request (built and inserted on miss)."""
+        analysis = self._validated(program_source, database_source)
         with self._lock:
-            return self._lookup(program_source, database_source)[1].engine
+            return self._lookup(program_source, database_source, analysis)[1].engine
 
     def space(self, program_source: str, database_source: str = "") -> AbstractSpace:
         """The cached exact output space (chased on first use, parallel if configured).
@@ -287,8 +310,9 @@ class InferenceService:
         component cache: only components not yet chased (under the same
         program, grounder and chase configuration) pay for a chase.
         """
+        analysis = self._validated(program_source, database_source)
         with self._lock:
-            _, entry = self._lookup(program_source, database_source)
+            _, entry = self._lookup(program_source, database_source, analysis)
         return self._space_for(entry)
 
     def _space_for(self, entry: _CacheEntry) -> AbstractSpace:
@@ -319,7 +343,13 @@ class InferenceService:
                         )
             return entry.space
 
-    def _sliced_entry(self, program_source: str, database_source: str, queries) -> _CacheEntry:
+    def _sliced_entry(
+        self,
+        program_source: str,
+        database_source: str,
+        queries,
+        analysis: ProgramAnalysis | None,
+    ) -> _CacheEntry:
         """The cache entry of the batch's query-relevant slice (global lock held).
 
         The sliced entry is keyed on the base request key plus the slice's
@@ -329,7 +359,7 @@ class InferenceService:
         be sliced or slicing cuts nothing.  Only the bookkeeping happens
         here; the chase itself runs later under the entry's own lock.
         """
-        base_key, base_entry = self._lookup(program_source, database_source)
+        base_key, base_entry = self._lookup(program_source, database_source, analysis)
         seeds = atoms_for_queries(queries)
         if seeds is None:
             return base_entry
@@ -416,20 +446,19 @@ class InferenceService:
         digest.update(repr(self.chase_config).encode("utf-8"))
         return digest.hexdigest()
 
-    def _lookup(self, program_source: str, database_source: str) -> tuple[str, _CacheEntry]:
+    def _lookup(
+        self, program_source: str, database_source: str, analysis: ProgramAnalysis | None
+    ) -> tuple[str, _CacheEntry]:
         """``(key, entry)`` for a raw request, inserting on miss.  Caller holds the lock.
 
-        With :attr:`validate` set, the sources pass the static checker
-        before any key computation (a malformed program must produce
-        structured diagnostics, not a bare parse failure), and the engine
-        is built from the checker's analysis so its strategy inputs are
-        pre-selected rather than re-derived on first use.
+        *analysis* is the request's :meth:`_validated` result.  With
+        :attr:`validate` set, the sources passed the static checker before
+        any key computation (a malformed program must produce structured
+        diagnostics, not a bare parse failure), and the engine is built
+        from the checker's analysis so its strategy inputs are pre-selected
+        rather than re-derived on first use.
         """
         raw = (program_source, database_source)
-        analysis: ProgramAnalysis | None = None
-        if self.validate:
-            analysis = self.check(program_source, database_source)
-            analysis.raise_for_errors()
         key = self._raw_keys.get(raw)
         if key is None:
             if analysis is not None:
@@ -502,16 +531,31 @@ class InferenceService:
         kept (its caches stay valid for the old state) and ages out of the
         LRU naturally.  Maintenance runs under the base entry's lock so a
         concurrent chase of the same entry is reused, not raced.
+
+        With validation on, the post-delta analysis is derived from the
+        base analysis (:meth:`~repro.gdatalog.checker.ProgramAnalysis.with_database`)
+        and cached under ``(program_source, database_source)`` of the
+        result, so a follow-up query on the returned text is not checked a
+        second time; a post-delta text already analysed costs nothing.
         """
         if not isinstance(delta, DbDelta):
             delta = DbDelta.from_spec(delta)
+        analysis = self._validated(program_source, database_source)
         with self._lock:
-            _, base_entry = self._lookup(program_source, database_source)
+            _, base_entry = self._lookup(program_source, database_source, analysis)
         with base_entry.lock:
             new_engine, new_space, report = maintain_engine(
                 base_entry.engine, delta, base_entry.space
             )
-        new_source = self.canonical_database_source(new_engine.database)
+        facts, new_source = _canonical_layout(new_engine.database)
+        if analysis is not None:
+            raw = (program_source, new_source)
+            with self._lock:
+                known = raw in self._analyses
+            if not known:
+                self._remember_analysis(
+                    raw, analysis.with_database(new_engine.database, new_source, facts)
+                )
         with self._lock:
             new_key = self._canonical_key(new_engine.program, new_engine.database)
             entry = self._entries.get(new_key)
@@ -592,11 +636,12 @@ class InferenceService:
         use_slice = self.slice if slice is None else bool(slice)
         resolved = [query_from_spec(spec) for spec in queries]
         batch = QueryBatch(resolved)
+        analysis = self._validated(program_source, database_source)
         with self._lock:
             if use_slice:
-                entry = self._sliced_entry(program_source, database_source, resolved)
+                entry = self._sliced_entry(program_source, database_source, resolved, analysis)
             else:
-                _, entry = self._lookup(program_source, database_source)
+                _, entry = self._lookup(program_source, database_source, analysis)
         return batch.evaluate(self._space_for(entry))
 
     def estimate(

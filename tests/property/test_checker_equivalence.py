@@ -194,3 +194,59 @@ class TestServicePreselection:
         assert validating.evaluate(source, database_source, specs) == expected
         sliced = InferenceService(validate=True, slice=True)
         assert sliced.evaluate(source, database_source, specs) == expected
+
+
+#: Delta atoms: extensional facts, facts of derived predicates (GDL021 with
+#: a fact span), an arity clash (GDL020), an unknown predicate, and
+#: constants ``str`` writes in a form the parser cannot read back (1e-05).
+_DELTA_POOL = (
+    "e(1)", "e(2)", "e(4)", "r(1, 2)", "r(3, 3)", "layer0(1)", "layer1(2)",
+    "e(1, 2)", "zz(1)", "e(0.5)", 'e("a b")', "e(0.00001)",
+)
+
+
+class TestPostDeltaAnalysis:
+    @given(seed=seeds, constraints=st.booleans(), break_it=st.booleans(), data=st.data())
+    @SETTINGS
+    def test_update_stores_the_analysis_a_fresh_check_gives(
+        self, seed, constraints, break_it, data
+    ):
+        """Two deltas in a row: the second update starts from the analysis
+        the first one derived."""
+        from unittest import mock
+
+        from repro.runtime import service as service_module
+        from repro.runtime.service import InferenceService
+
+        program = _program(seed, constraints)
+        if break_it:
+            program = _with_negative_cycle(program)
+        source = "\n".join(str(rule) for rule in program.rules)
+        facts = data.draw(st.permutations(sorted(random_database(seed=seed).facts, key=str)))
+        database_source = "\n".join(f"{fact}." for fact in facts)
+        present = [str(fact) for fact in facts]
+        service = InferenceService(validate=True)
+        refuse = AssertionError("the post-delta text was checked again")
+        for _ in range(2):
+            inserts = data.draw(st.lists(st.sampled_from(_DELTA_POOL), unique=True, max_size=4))
+            candidates = present + list(_DELTA_POOL)
+            retracts = [
+                atom
+                for atom in data.draw(
+                    st.lists(st.sampled_from(candidates), unique=True, max_size=4)
+                )
+                if atom not in inserts
+            ]
+            delta = {"insert": inserts, "retract": retracts}
+            result = service.update(source, database_source, delta)
+            with mock.patch.object(service_module, "check_source", side_effect=refuse):
+                stored = service.check(source, result.database_source)
+            fresh = check_source(source, result.database_source)
+            assert stored.diagnostics == fresh.diagnostics
+            assert stored.database == fresh.database
+            assert stored.program_digest == fresh.program_digest
+            assert stored.strategy_summary() == fresh.strategy_summary()
+            if not stored.ok:  # an unreadable layout (1e-05): the next update is refused
+                break
+            database_source = result.database_source
+            present = [str(fact) for fact in stored.database.facts]

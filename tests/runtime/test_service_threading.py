@@ -84,6 +84,46 @@ class TestThreadSafety:
         assert service.stats.slice_misses == 4
 
 
+    def test_a_cold_check_does_not_block_hits_on_other_entries(self, monkeypatch):
+        """The static check runs before the global lock is taken: while one
+        request's check is stalled, a cache hit on another program answers."""
+        from repro.runtime import service as service_module
+
+        service = InferenceService(validate=True)
+        cached = (_program(1), _database(1))
+        assert service.evaluate(*cached, ["hit1(1)"]) == [0.5]
+
+        entered, release = threading.Event(), threading.Event()
+        real_check = service_module.check_source
+
+        def stalled_check(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "check_source", stalled_check)
+        cold = threading.Thread(
+            target=service.evaluate, args=(_program(2), _database(2), ["hit2(1)"]), daemon=True
+        )
+        answers: list[list[float]] = []
+        answered = threading.Event()
+
+        def hit() -> None:
+            answers.append(service.evaluate(*cached, ["hit1(1)"]))
+            answered.set()
+
+        cold.start()
+        try:
+            assert entered.wait(timeout=10)
+            threading.Thread(target=hit, daemon=True).start()
+            assert answered.wait(timeout=5), "a cache hit waited for another request's check"
+            assert answers == [[0.5]]
+        finally:
+            release.set()
+            cold.join(timeout=30)
+        assert not cold.is_alive()
+
+
 class TestSlicedService:
     def test_sliced_results_match_unsliced(self):
         program, database = _program(5), _database(5)

@@ -20,8 +20,12 @@ import threading
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.gdatalog.checker import ProgramAnalysis
 from repro.logic.deltas import DbDelta
+from repro.logic.parser import parse_database
+from repro.runtime import service as service_module
 from repro.runtime.service import InferenceService
+from repro.server import protocol
 
 PROGRAM = """
 coin(X, flip<0.5>[X]) :- src(X).
@@ -93,6 +97,55 @@ class TestUpdateAnswers:
         service = InferenceService()
         with pytest.raises(ValidationError):
             service.update(PROGRAM, DATABASE, {"isnert": ["aux(2)"]})
+
+
+class TestPostDeltaAnalysis:
+    """An update derives the post-delta analysis instead of checking its text again."""
+
+    @staticmethod
+    def _record(monkeypatch, owner, name: str) -> list:
+        calls: list = []
+        real = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        return calls
+
+    def test_a_cold_update_and_its_queries_check_once(self, monkeypatch):
+        checks = self._record(monkeypatch, service_module, "check_source")
+        service = InferenceService(validate=True)
+        request = {
+            "program": PROGRAM,
+            "database": DATABASE,
+            "delta": {"insert": ["aux(2)"]},
+            "queries": QUERIES,
+        }
+        response = protocol.answer(service, request)
+        assert response["ok"], response
+        assert len(checks) == 1
+        cold = InferenceService().evaluate(PROGRAM, response["database"], QUERIES)
+        assert response["results"] == cold
+
+    def test_a_noop_reassertion_derives_nothing(self, monkeypatch):
+        service = InferenceService(validate=True)
+        canonical = InferenceService.canonical_database_source(parse_database(DATABASE))
+        assert protocol.answer(service, {"program": PROGRAM, "database": canonical})["ok"]
+        checks = self._record(monkeypatch, service_module, "check_source")
+        derived = self._record(monkeypatch, ProgramAnalysis, "with_database")
+        request = {
+            "program": PROGRAM,
+            "database": canonical,
+            "delta": {"insert": ["src(1)"]},
+            "queries": QUERIES,
+        }
+        response = protocol.answer(service, request)
+        assert response["ok"], response
+        assert response["update"]["mode"] == "noop"
+        assert response["database"] == canonical
+        assert checks == [] and derived == []
 
 
 class TestUpdateCounters:

@@ -306,6 +306,22 @@ class TestCommands:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """NumPy loads on the first seeded draw, not when ``repro.rng`` is imported."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli\n"
+            "from repro.rng import seeded_random\n"
+            "print('numpy' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, cwd=str(REPO_ROOT)
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 class TestSliceFlag:
     """The ``--slice/--no-slice`` flags on ``query``, ``batch`` and ``serve``."""
