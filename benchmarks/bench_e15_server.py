@@ -211,7 +211,7 @@ async def _sample_client(port: int, index: int, latencies: list):
 async def _run_server_workloads() -> dict:
     """Boot the server, run the hot throughput phase then the mixed phase."""
     server = InferenceServer(
-        ServerConfig(port=0, shards=2, batch_window=0.002, max_queue=256)
+        ServerConfig(port=0, shards=2, max_queue=256)
     )
     await server.start()
     try:
@@ -315,7 +315,7 @@ def test_e15_overload_sheds_and_survives():
     async def scenario():
         server = InferenceServer(
             ServerConfig(
-                port=0, shards=1, batch_window=0.0, client_rate=0.001, client_burst=8
+                port=0, shards=1, client_rate=0.001, client_burst=8
             )
         )
         await server.start()

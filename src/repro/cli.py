@@ -231,13 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "by canonical program hash so each shard keeps an isolated engine cache",
     )
     serve_parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=2.0,
-        help="micro-batch window in milliseconds: concurrent exact queries on "
-        "the same (program, database) coalesce into one QueryBatch pass (0 disables)",
-    )
-    serve_parser.add_argument(
         "--max-queue",
         type=int,
         default=64,
@@ -524,7 +517,6 @@ def _command_serve(args: argparse.Namespace) -> str:
             grounder=args.grounder,
             factorize=args.factorize,
             slice=args.slice,
-            batch_window=args.batch_window / 1000.0,
             max_queue=args.max_queue,
             client_rate=args.client_rate,
             client_burst=args.client_burst,

@@ -63,7 +63,7 @@ __all__ = [
 _TOKEN_SPEC: tuple[tuple[str, str], ...] = (
     ("COMMENT", r"%[^\n]*"),
     ("ARROW", r":-"),
-    ("NUMBER", r"-?\d+\.\d+|-?\d+"),
+    ("NUMBER", r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"),
     ("STRING", r'"[^"\n]*"'),
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("LPAREN", r"\("),
@@ -380,7 +380,8 @@ def _constant(text: str) -> Constant:
         return Constant(text[1:-1])
     if "a" <= first <= "z":
         return Constant(text)
-    return Constant(float(text) if "." in text else int(text))
+    # A NUMBER with a ``.`` or an exponent is a float.
+    return Constant(int(text) if text.lstrip("-").isdigit() else float(text))
 
 
 def parse_fact_lines(source: str) -> list[tuple[Atom, SourceSpan]] | None:
@@ -429,9 +430,9 @@ def parse_fact_lines(source: str) -> list[tuple[Atom, SourceSpan]] | None:
 def database_reads_back(database: Database) -> bool:
     """Whether each fact of *database*, written as ``f"{fact}."``, parses back to itself.
 
-    ``str`` writes some constants in forms the grammar cannot read —
-    floats as ``1e-05``, non-ASCII identifiers unquoted — and a predicate
-    built in code may have any name.
+    ``str`` writes a few constants in forms the grammar cannot read —
+    ``inf`` and ``nan``, strings holding ``"`` or a newline — and a
+    predicate built in code may have any name.
     """
     if not all(_FACT_NAME.fullmatch(p.name) for p in database.schema):
         return False

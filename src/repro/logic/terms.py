@@ -75,7 +75,8 @@ class Constant:
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
-            if self.value.isidentifier() and self.value[0].islower():
+            # Bare only where the parser reads an identifier constant back.
+            if self.value.isascii() and self.value.isidentifier() and self.value[0].islower():
                 return self.value
             return f'"{self.value}"'
         if isinstance(self.value, bool):

@@ -68,9 +68,16 @@ __all__ = ["ServiceStats", "InferenceService", "UpdateResult"]
 
 
 def _canonical_layout(database: Database) -> tuple[list[Atom], str]:
-    """The facts of *database* in canonical order and their text, one ``fact.`` a line."""
+    """The facts of *database* in canonical order and their text (what cache keys hash)."""
     facts = sorted(database.facts, key=Atom.sort_key)
     return facts, "\n".join(f"{fact}." for fact in facts)
+
+
+def _parse_sources(program_source: str, database_source: str):
+    """The parsed (program, database) of a request's raw sources."""
+    program = parse_gdatalog_program(program_source)
+    database = parse_database(database_source) if database_source.strip() else Database()
+    return program, database
 
 
 @dataclass
@@ -228,18 +235,16 @@ class InferenceService:
         updated database share one key — no double-entry for equivalent
         states (``tests/runtime/test_service_update.py``).
         """
-        program = parse_gdatalog_program(program_source)
-        database = parse_database(database_source) if database_source.strip() else Database()
-        return self._canonical_key(program, database)
+        program, database = _parse_sources(program_source, database_source)
+        return self._canonical_key(program, _canonical_layout(database)[1])
 
-    def _canonical_key(self, program, database: Database) -> str:
-        """The canonical hash of already-parsed (program, database) objects."""
+    def _canonical_key(self, program, database_text: str) -> str:
+        """The canonical hash of a parsed program and its database's canonical text."""
         rule_lines = sorted(str(rule) for rule in program)
-        fact_lines = sorted(str(fact) for fact in database.facts)
         digest = hashlib.sha256()
         digest.update("\n".join(rule_lines).encode("utf-8"))
         digest.update(b"\x00")
-        digest.update("\n".join(fact_lines).encode("utf-8"))
+        digest.update(database_text.encode("utf-8"))
         digest.update(b"\x00")
         digest.update(self.grounder.encode("utf-8"))
         digest.update(repr(self.chase_config).encode("utf-8"))
@@ -300,8 +305,7 @@ class InferenceService:
     def engine(self, program_source: str, database_source: str = "") -> GDatalogEngine:
         """The cached engine for a request (built and inserted on miss)."""
         analysis = self._validated(program_source, database_source)
-        with self._lock:
-            return self._lookup(program_source, database_source, analysis)[1].engine
+        return self._lookup(program_source, database_source, analysis)[1].engine
 
     def space(self, program_source: str, database_source: str = "") -> AbstractSpace:
         """The cached exact output space (chased on first use, parallel if configured).
@@ -311,8 +315,7 @@ class InferenceService:
         program, grounder and chase configuration) pay for a chase.
         """
         analysis = self._validated(program_source, database_source)
-        with self._lock:
-            _, entry = self._lookup(program_source, database_source, analysis)
+        _, entry = self._lookup(program_source, database_source, analysis)
         return self._space_for(entry)
 
     def _space_for(self, entry: _CacheEntry) -> AbstractSpace:
@@ -449,56 +452,62 @@ class InferenceService:
     def _lookup(
         self, program_source: str, database_source: str, analysis: ProgramAnalysis | None
     ) -> tuple[str, _CacheEntry]:
-        """``(key, entry)`` for a raw request, inserting on miss.  Caller holds the lock.
+        """``(key, entry)`` for a raw request, inserting on miss.
 
-        *analysis* is the request's :meth:`_validated` result.  With
-        :attr:`validate` set, the sources passed the static checker before
-        any key computation (a malformed program must produce structured
-        diagnostics, not a bare parse failure), and the engine is built
-        from the checker's analysis so its strategy inputs are pre-selected
-        rather than re-derived on first use.
+        The global lock guards only the bookkeeping: a miss parses the
+        sources (once), keys them and builds the engine outside it, so a
+        cold request never blocks hits on other entries; of two racing
+        builds of one entry, the one that finishes second is dropped.
+        *analysis* is the request's :meth:`_validated` result: with it, the
+        sources passed the static checker before any key computation, and
+        the engine is built from the checker's analysis.
         """
         raw = (program_source, database_source)
-        key = self._raw_keys.get(raw)
-        if key is None:
+        with self._lock:
+            key = self._raw_keys.get(raw)
+            entry = self._hit(key)
+        if entry is None:
             if analysis is not None:
-                key = self._canonical_key(analysis.program, analysis.database or Database())
+                program, database = analysis.program, analysis.database or Database()
             else:
-                key = self.cache_key(program_source, database_source)
-            if len(self._raw_keys) >= self._raw_keys_limit:
-                self._raw_keys.clear()
-            self._raw_keys[raw] = key
-        entry = self._entries.get(key)
+                program, database = _parse_sources(program_source, database_source)
+            if key is None:
+                key = self._canonical_key(program, _canonical_layout(database)[1])
+                with self._lock:
+                    self._remember_raw_key(raw, key)
+                    entry = self._hit(key)
+        if entry is None:
+            engine = GDatalogEngine(
+                program, database, self.grounder, self.chase_config, analysis=analysis
+            )
+            with self._lock:
+                entry = self._hit(key)
+                if entry is None:
+                    self.stats.bump("misses")
+                    entry = self._insert(key, _CacheEntry(engine=engine))
+        return key, entry
+
+    def _hit(self, key: str | None) -> _CacheEntry | None:
+        """The entry cached under *key*, counted as a hit, or ``None``.  Caller holds the lock."""
+        entry = self._entries.get(key) if key is not None else None
         if entry is not None:
             self.stats.bump("hits")
             self._entries.move_to_end(key)
-            return key, entry
-        self.stats.bump("misses")
-        if analysis is not None:
-            engine = GDatalogEngine(
-                analysis.program,
-                analysis.database or Database(),
-                grounder=self.grounder,
-                chase_config=self.chase_config,
-                analysis=analysis,
-            )
-        else:
-            engine = GDatalogEngine.from_source(
-                program_source,
-                database_source,
-                grounder=self.grounder,
-                chase_config=self.chase_config,
-            )
-        entry = _CacheEntry(engine=engine)
-        self._insert(key, entry)
-        return key, entry
+        return entry
 
-    def _insert(self, key: str, entry: _CacheEntry) -> None:
+    def _remember_raw_key(self, raw: tuple[str, str], key: str) -> None:
+        """Map raw request text to its canonical key.  Caller holds the lock."""
+        if len(self._raw_keys) >= self._raw_keys_limit:
+            self._raw_keys.clear()
+        self._raw_keys[raw] = key
+
+    def _insert(self, key: str, entry: _CacheEntry) -> _CacheEntry:
         """Insert one entry and evict the LRU overflow.  Caller holds the lock."""
         self._entries[key] = entry
         if len(self._entries) > self.cache_size:
             self._entries.popitem(last=False)
             self.stats.bump("evictions")
+        return entry
 
     def __len__(self) -> int:
         with self._lock:
@@ -541,8 +550,7 @@ class InferenceService:
         if not isinstance(delta, DbDelta):
             delta = DbDelta.from_spec(delta)
         analysis = self._validated(program_source, database_source)
-        with self._lock:
-            _, base_entry = self._lookup(program_source, database_source, analysis)
+        _, base_entry = self._lookup(program_source, database_source, analysis)
         with base_entry.lock:
             new_engine, new_space, report = maintain_engine(
                 base_entry.engine, delta, base_entry.space
@@ -556,8 +564,8 @@ class InferenceService:
                 self._remember_analysis(
                     raw, analysis.with_database(new_engine.database, new_source, facts)
                 )
+        new_key = self._canonical_key(new_engine.program, new_source)
         with self._lock:
-            new_key = self._canonical_key(new_engine.program, new_engine.database)
             entry = self._entries.get(new_key)
             if entry is None:
                 entry = _CacheEntry(engine=new_engine, space=new_space)
@@ -567,9 +575,7 @@ class InferenceService:
                 # directly before, or a no-op delta): keep the existing
                 # entry — it may hold more chase work than ours.
                 self._entries.move_to_end(new_key)
-            if len(self._raw_keys) >= self._raw_keys_limit:
-                self._raw_keys.clear()
-            self._raw_keys[(program_source, new_source)] = new_key
+            self._remember_raw_key((program_source, new_source), new_key)
             self.stats.bump("updates_applied")
             self.stats.bump("subtrees_invalidated", report.invalidated_subtrees)
             self.stats.bump("subtrees_reused", report.reused_subtrees)
@@ -603,11 +609,11 @@ class InferenceService:
             database = result.database_source
         if result is not None:
             return result
-        program = parse_gdatalog_program(program_source)
-        parsed = parse_database(database_source) if database_source.strip() else Database()
+        program, parsed = _parse_sources(program_source, database_source)
+        text = _canonical_layout(parsed)[1]
         return UpdateResult(
-            key=self._canonical_key(program, parsed),
-            database_source=self.canonical_database_source(parsed),
+            key=self._canonical_key(program, text),
+            database_source=text,
             report=UpdateReport(
                 mode="noop",
                 inserted=0,
@@ -637,11 +643,11 @@ class InferenceService:
         resolved = [query_from_spec(spec) for spec in queries]
         batch = QueryBatch(resolved)
         analysis = self._validated(program_source, database_source)
-        with self._lock:
-            if use_slice:
+        if use_slice:
+            with self._lock:
                 entry = self._sliced_entry(program_source, database_source, resolved, analysis)
-            else:
-                _, entry = self._lookup(program_source, database_source, analysis)
+        else:
+            _, entry = self._lookup(program_source, database_source, analysis)
         return batch.evaluate(self._space_for(entry))
 
     def estimate(

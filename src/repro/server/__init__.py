@@ -9,8 +9,8 @@
   program key to one of N persistent worker processes
   (:mod:`repro.server.shards`, each with an isolated
   :class:`~repro.runtime.service.InferenceService` cache and automatic
-  crash respawn), coalesces concurrent exact queries into shared
-  :class:`~repro.runtime.batch.QueryBatch` passes
+  crash respawn), coalesces exact queries that arrive behind an in-flight
+  pass into shared :class:`~repro.runtime.batch.QueryBatch` passes
   (:mod:`repro.server.batching`), sheds overload with per-client token
   buckets and bounded shard queues (:mod:`repro.server.admission`), and
   exposes Prometheus metrics (:mod:`repro.server.metrics`).

@@ -1,24 +1,27 @@
-"""Cross-request micro-batching: concurrent queries, one outcome pass.
+"""Cross-request micro-batching: queries behind a busy pass share the next one.
 
-Under concurrency, many clients ask the *same* (program, database) —
-that is the whole point of the engine cache — but each request still pays
-its own :class:`~repro.runtime.batch.QueryBatch` pass over the outcome
-space, plus one pipe round-trip to the shard worker.  The
-:class:`MicroBatcher` holds the first exact query against a (program,
-database, slice) group for a short window (default 2 ms); every compatible
-request arriving inside the window appends its query specs to the group.
-On flush the group becomes **one** combined protocol request — one pipe
-message, one cache lookup, one ``QueryBatch`` pass in the worker — and the
-result vector is sliced back per requester.
+Many clients ask the *same* (program, database) — that is the point of the
+engine cache — yet each request would pay its own
+:class:`~repro.runtime.batch.QueryBatch` pass over the outcome space plus
+one pipe round-trip to the shard worker.  :class:`MicroBatcher` keys exact
+queries on (shard, program, database, slice): a query whose key has no pass
+in flight goes to the shard at once; queries arriving while one is in
+flight join one pending group, sent as **one** combined request (one pipe
+message, one cache lookup, one ``QueryBatch`` pass) when that pass settles,
+and the results are sliced back per requester.  So batching happens exactly
+when the shard is busy with the key, and an idle request never waits.  A
+group needs no size cap: each waiter holds its admission ticket, and
+admission bounds the requests in flight per shard.
 
-``QueryBatch`` accumulates each query's mass independently with
-``math.fsum`` over the same outcome enumeration order, so batched answers
-are **bit-identical** to per-request evaluation (the PR 2 property tests
-pin this); coalescing is therefore invisible to clients except as lower
-latency under load.  Query specs are validated per client *before*
-coalescing, so one malformed spec cannot poison its batch-mates; a failure
-of the combined request (e.g. a program parse error) by construction
-affects only clients that sent that same program.
+Each pass is a detached task: a request deadline cancels only its own
+waiter, never the pass or the group behind it.  A failed pass (``BatchFailed``
+or :class:`~repro.server.shards.WorkerCrashed`) fails only its own waiters;
+the pending group still goes as its own pass, which after a crash respawns
+the worker.  ``QueryBatch`` sums each query's mass independently with
+``math.fsum`` over the same outcome order, so batched answers are
+**bit-identical** to per-request evaluation.  Query specs are validated per
+client *before* coalescing, so one malformed spec cannot poison its
+batch-mates.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ class BatchFailed(RuntimeError):
 
 
 class _Group:
-    """Queries accumulated for one (shard, program, database, slice) key."""
+    """Queries sent together as one pass for one (shard, program, database, slice) key."""
 
-    __slots__ = ("shard", "request_core", "specs", "waiters", "timer")
+    __slots__ = ("shard", "request_core", "specs", "waiters")
 
     def __init__(self, shard: int, request_core: dict):
         self.shard = shard
@@ -56,24 +59,26 @@ class _Group:
         self.specs: list[Any] = []
         #: ``(start, count, future)`` per coalesced client request.
         self.waiters: list[tuple[int, int, asyncio.Future]] = []
-        self.timer: asyncio.TimerHandle | None = None
+
+    def add(self, specs: list[Any]) -> asyncio.Future:
+        """Append one client's specs; its future resolves to their results."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self.waiters.append((len(self.specs), len(specs), future))
+        self.specs.extend(specs)
+        return future
 
 
 class MicroBatcher:
-    """Coalesce same-group exact queries inside a short window."""
+    """Send idle keys' queries at once; coalesce those behind an in-flight pass."""
 
-    def __init__(
-        self,
-        router,
-        window: float = 0.002,
-        max_batch: int = 64,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, router, metrics: MetricsRegistry | None = None):
         self.router = router
-        self.window = max(0.0, float(window))
-        self.max_batch = max(1, int(max_batch))
         self.metrics = metrics
-        self._groups: dict[tuple, _Group] = {}
+        #: Keys with a pass in flight, each with the group queued behind it
+        #: (``None`` while nothing has arrived since the pass was sent).
+        self._inflight: dict[tuple, _Group | None] = {}
+        # asyncio keeps only weak references to tasks: hold every pass.
+        self._passes: set[asyncio.Task] = set()
 
     async def submit(
         self,
@@ -87,52 +92,46 @@ class MicroBatcher:
         request_core = {"program": program, "database": database}
         if slice_ is not None:
             request_core["slice"] = bool(slice_)
-        if self.window <= 0.0:
-            return await self._evaluate(shard, request_core, specs)
-        loop = asyncio.get_running_loop()
         key = (shard, program, database, request_core.get("slice"))
-        group = self._groups.get(key)
-        if group is None:
-            group = _Group(shard, request_core)
-            self._groups[key] = group
-            group.timer = loop.call_later(self.window, self._flush, key)
-        future: asyncio.Future = loop.create_future()
-        group.waiters.append((len(group.specs), len(specs), future))
-        group.specs.extend(specs)
-        if len(group.specs) >= self.max_batch:
-            self._flush(key)
+        if key in self._inflight:
+            group = self._inflight[key]
+            if group is None:
+                group = self._inflight[key] = _Group(shard, request_core)
+            return await group.add(specs)
+        group = _Group(shard, request_core)
+        future = group.add(specs)
+        self._dispatch(key, group)
         return await future
 
-    # -- flushing ------------------------------------------------------------------
+    # -- passes --------------------------------------------------------------------
 
-    def _flush(self, key: tuple) -> None:
-        group = self._groups.pop(key, None)
-        if group is None:
-            return
-        if group.timer is not None:
-            group.timer.cancel()
+    def _dispatch(self, key: tuple, group: _Group) -> None:
+        """Send *group* as the key's in-flight pass."""
+        self._inflight[key] = None
         if self.metrics is not None:
+            requests = len(group.waiters)
             self.metrics.inc("gdatalog_microbatch_batches_total")
-            self.metrics.inc(
-                "gdatalog_microbatch_requests_total", amount=len(group.waiters)
-            )
-            if len(group.waiters) > 1:
-                self.metrics.inc(
-                    "gdatalog_microbatch_coalesced_total", amount=len(group.waiters) - 1
-                )
-        asyncio.ensure_future(self._run_group(group))
+            self.metrics.inc("gdatalog_microbatch_requests_total", amount=requests)
+            self.metrics.inc("gdatalog_microbatch_coalesced_total", amount=requests - 1)
+        task = asyncio.ensure_future(self._run_pass(key, group))
+        self._passes.add(task)
+        task.add_done_callback(self._passes.discard)
 
-    async def _run_group(self, group: _Group) -> None:
+    async def _run_pass(self, key: tuple, group: _Group) -> None:
         try:
             results = await self._evaluate(group.shard, group.request_core, group.specs)
         except Exception as error:  # noqa: BLE001 - fan the failure out per waiter
             for _, _, future in group.waiters:
                 if not future.done():
                     future.set_exception(error)
-            return
-        for start, count, future in group.waiters:
-            if not future.done():
-                future.set_result(results[start : start + count])
+        else:
+            for start, count, future in group.waiters:
+                if not future.done():
+                    future.set_result(results[start : start + count])
+        finally:
+            pending = self._inflight.pop(key)
+            if pending is not None:
+                self._dispatch(key, pending)
 
     async def _evaluate(self, shard: int, request_core: dict, specs: list[Any]) -> list[float]:
         """One protocol round-trip to the shard for a (possibly merged) batch."""

@@ -6,7 +6,8 @@ server speaks enough HTTP/1.1 for production load balancers — keep-alive,
 RFC 6455 WebSockets for streaming clients.  Routes:
 
 * ``POST /v1/query``  — one exact request (the stdin JSON-lines schema);
-  eligible for the cross-request micro-batch window.
+  sent to its shard at once, or coalesced with the queries that arrive
+  while a pass on the same (program, database) is in flight.
 * ``POST /v1/batch``  — an explicit multi-query request, dispatched
   directly (it already is a batch).
 * ``POST /v1/sample`` — adaptive Monte-Carlo estimation (``adaptive`` is
@@ -29,9 +30,10 @@ RFC 6455 WebSockets for streaming clients.  Routes:
 Requests are admitted (token buckets + bounded shard queues, see
 :mod:`repro.server.admission`), routed by canonical program key to a
 persistent worker process (:mod:`repro.server.shards`), and exact queries
-are coalesced into shared :class:`QueryBatch` passes
-(:mod:`repro.server.batching`).  SIGTERM/SIGINT triggers a graceful drain:
-stop accepting, finish in-flight work, stop the workers, exit.
+that arrive behind an in-flight pass are coalesced into shared
+:class:`QueryBatch` passes (:mod:`repro.server.batching`).  SIGTERM/SIGINT
+triggers a graceful drain: stop accepting, finish in-flight work, stop the
+workers, exit.
 """
 
 from __future__ import annotations
@@ -93,10 +95,8 @@ class ServerConfig:
     grounder: str = "simple"
     factorize: bool = False
     slice: bool = False
-    #: Micro-batch window in seconds (0 disables coalescing).
-    batch_window: float = 0.002
-    max_batch: int = 64
-    #: Maximum in-flight requests per shard before 503 load shedding.
+    #: Maximum in-flight requests per shard before 503 load shedding; it
+    #: also bounds a micro-batch, since a queued query holds its ticket.
     max_queue: int = 64
     #: Per-client token bucket: sustained requests/second and burst size.
     client_rate: float = 200.0
@@ -251,12 +251,7 @@ class InferenceServer:
             client_rate=self.config.client_rate,
             client_burst=self.config.client_burst,
         )
-        self.batcher = MicroBatcher(
-            self.router,
-            window=self.config.batch_window,
-            max_batch=self.config.max_batch,
-            metrics=self.metrics,
-        )
+        self.batcher = MicroBatcher(self.router, metrics=self.metrics)
         #: Named evidence streams (front-end state; workers stay stateless).
         self.streams = StreamRegistry()
         # Env-armed chaos specs (subprocess harnesses); a no-op otherwise.
@@ -290,7 +285,7 @@ class InferenceServer:
             "gdatalog_microbatch_batches_total", "Combined QueryBatch passes dispatched"
         )
         self.metrics.describe(
-            "gdatalog_microbatch_requests_total", "Client requests entering the batch window"
+            "gdatalog_microbatch_requests_total", "Client requests sent in a batch pass"
         )
         self.metrics.describe(
             "gdatalog_microbatch_coalesced_total",
@@ -411,8 +406,7 @@ class InferenceServer:
                 pass
         await self.start()
         print(
-            f"serving on http://{self.config.host}:{self.port} "
-            f"({self.config.shards} shard(s), batch window {self.config.batch_window * 1000:.1f} ms)",
+            f"serving on http://{self.config.host}:{self.port} ({self.config.shards} shard(s))",
             file=sys.stderr,
             flush=True,
         )

@@ -11,7 +11,9 @@ The server publishes, per scrape:
 * ``gdatalog_requests_total{route,status}`` and
   ``gdatalog_request_seconds{route}`` latency histograms;
 * ``gdatalog_rejected_total{reason}`` admission-control rejections;
-* ``gdatalog_microbatch_*`` coalescing volumes;
+* ``gdatalog_microbatch_{batches,requests,coalesced}_total``: exact-query
+  passes sent to the shards, the requests they carried, and the requests
+  that shared another request's pass (queued behind an in-flight one);
 * per-shard service-cache counters (hits/misses/slice/component/evictions,
   from :meth:`ServiceStats.snapshot`), join-engine ``JOIN_STATS`` counters,
   and worker respawn counts — gathered live from the shard workers.

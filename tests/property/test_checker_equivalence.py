@@ -197,8 +197,8 @@ class TestServicePreselection:
 
 
 #: Delta atoms: extensional facts, facts of derived predicates (GDL021 with
-#: a fact span), an arity clash (GDL020), an unknown predicate, and
-#: constants ``str`` writes in a form the parser cannot read back (1e-05).
+#: a fact span), an arity clash (GDL020), an unknown predicate, a quoted
+#: string, and a float ``str`` writes with an exponent (1e-05).
 _DELTA_POOL = (
     "e(1)", "e(2)", "e(4)", "r(1, 2)", "r(3, 3)", "layer0(1)", "layer1(2)",
     "e(1, 2)", "zz(1)", "e(0.5)", 'e("a b")', "e(0.00001)",
@@ -246,7 +246,7 @@ class TestPostDeltaAnalysis:
             assert stored.database == fresh.database
             assert stored.program_digest == fresh.program_digest
             assert stored.strategy_summary() == fresh.strategy_summary()
-            if not stored.ok:  # an unreadable layout (1e-05): the next update is refused
+            if not stored.ok:  # an error (e.g. an arity clash): the next update is refused
                 break
             database_source = result.database_source
             present = [str(fact) for fact in stored.database.facts]

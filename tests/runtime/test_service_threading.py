@@ -10,6 +10,7 @@ program to the same slice share one sliced space.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -122,6 +123,89 @@ class TestThreadSafety:
             release.set()
             cold.join(timeout=30)
         assert not cold.is_alive()
+
+    def test_a_cold_parse_does_not_block_hits_on_other_entries(self, monkeypatch):
+        """Without validation the service parses, keys and builds outside the
+        global lock: while one request's parse is stalled, a hit answers."""
+        from repro.runtime import service as service_module
+
+        service = InferenceService()
+        cached = (_program(1), _database(1))
+        assert service.evaluate(*cached, ["hit1(1)"]) == [0.5]
+
+        entered, release = threading.Event(), threading.Event()
+        real_parse = service_module.parse_database
+
+        def stalled_parse(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "parse_database", stalled_parse)
+        cold = threading.Thread(
+            target=service.evaluate, args=(_program(2), _database(2), ["hit2(1)"]), daemon=True
+        )
+        answers: list[list[float]] = []
+        answered = threading.Event()
+
+        def hit() -> None:
+            answers.append(service.evaluate(*cached, ["hit1(1)"]))
+            answered.set()
+
+        cold.start()
+        try:
+            assert entered.wait(timeout=10)
+            threading.Thread(target=hit, daemon=True).start()
+            assert answered.wait(timeout=1), "a cache hit waited for another request's parse"
+            assert answers == [[0.5]]
+        finally:
+            release.set()
+            cold.join(timeout=30)
+        assert not cold.is_alive()
+        assert (service.stats.misses, service.stats.hits) == (2, 1)
+
+    def test_racing_cold_builds_share_the_first_inserted_entry(self, monkeypatch):
+        """Cold lookups build outside the lock: every thread below builds the
+        same entry at once (the barrier in the build admits none until all
+        arrive), and every caller still gets the one entry inserted first."""
+        from repro.runtime import service as service_module
+
+        service = InferenceService()
+        program, database = _program(3), _database(3)
+        threads_count = 8
+        building = threading.Barrier(threads_count, timeout=10)
+        real_engine = service_module.GDatalogEngine
+
+        def gathered_engine(*args, **kwargs):
+            building.wait()
+            return real_engine(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "GDatalogEngine", gathered_engine)
+        engines: list = []
+        errors: list[BaseException] = []
+
+        def worker() -> None:
+            try:
+                engines.append(service.engine(program, database))
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(engines) == threads_count
+        assert len({id(engine) for engine in engines}) == 1
+        assert len(service) == 1
+        assert (service.stats.misses, service.stats.hits) == (1, threads_count - 1)
 
 
 class TestSlicedService:

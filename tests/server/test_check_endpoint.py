@@ -120,7 +120,7 @@ class TestHttpCheckEndpoint:
     def _run_with_server(self, scenario):
         async def runner():
             server = InferenceServer(
-                ServerConfig(port=0, shards=1, batch_window=0.0, validate=True)
+                ServerConfig(port=0, shards=1, validate=True)
             )
             await server.start()
             try:

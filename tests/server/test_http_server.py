@@ -64,6 +64,16 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+def _metric(text, name: str) -> float:
+    """The value of the unlabelled series *name* in a ``/metrics`` scrape."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for line in text.splitlines():
+        if line.startswith(f"{name} "):
+            return float(line.split()[1])
+    raise AssertionError(f"{name} missing from /metrics")
+
+
 async def _with_server(config: ServerConfig, scenario):
     server = InferenceServer(config)
     await server.start()
@@ -121,14 +131,21 @@ class TestConcurrentServing:
 
             hot = [hot_client(i) for i in range(24)]
             cold = [cold_client(i) for i in range(8)]
-            return await asyncio.gather(*hot, *cold)
+            results = await asyncio.gather(*hot, *cold)
+            status, metrics = await http_json("127.0.0.1", port, "GET", "/metrics")
+            assert status == 200
+            return results, metrics
 
-        results = _run(
+        results, metrics = _run(
             _with_server(
-                ServerConfig(port=0, shards=2, batch_window=0.002, max_queue=256), scenario
+                ServerConfig(port=0, shards=2, max_queue=256), scenario
             )
         )
         hot_results, cold_results = results[:24], results[24:]
+        # Requests that arrive behind an in-flight pass on the same key share
+        # the next one: fewer passes than requests.
+        passes = _metric(metrics, "gdatalog_microbatch_batches_total")
+        assert passes < _metric(metrics, "gdatalog_microbatch_requests_total")
 
         direct = InferenceService()
         hot_expected = direct.evaluate(HOT_PROGRAM, HOT_DATABASE, HOT_QUERIES)
@@ -171,7 +188,7 @@ class TestConcurrentServing:
             return shard, responses, stats
 
         shard, responses, stats = _run(
-            _with_server(ServerConfig(port=0, shards=2, batch_window=0.002), scenario)
+            _with_server(ServerConfig(port=0, shards=2), scenario)
         )
         assert all(status == 200 and payload["ok"] for status, payload in responses)
         hot_stats = stats[shard]["service"]
@@ -207,7 +224,7 @@ class TestConcurrentServing:
         responses, healthz = _run(
             _with_server(
                 ServerConfig(
-                    port=0, shards=1, batch_window=0.0, client_rate=0.001, client_burst=4
+                    port=0, shards=1, client_rate=0.001, client_burst=4
                 ),
                 scenario,
             )
@@ -223,8 +240,8 @@ class TestConcurrentServing:
         assert healthz[0] == 200 and healthz[1]["ok"]
 
     def test_queue_full_sheds_with_503(self):
-        # One shard, queue bound 1, no batching: concurrent requests beyond
-        # the single in-flight slot must answer 503 (never hang or crash).
+        # One shard, queue bound 1: concurrent requests beyond the single
+        # in-flight slot must answer 503 (never hang or crash).
         slow_program = _program(10)
         slow_database = _database(10)
 
@@ -250,7 +267,7 @@ class TestConcurrentServing:
 
         responses = _run(
             _with_server(
-                ServerConfig(port=0, shards=1, batch_window=0.0, max_queue=1), scenario
+                ServerConfig(port=0, shards=1, max_queue=1), scenario
             )
         )
         statuses = [status for status, _ in responses]
@@ -284,7 +301,7 @@ class TestConcurrentServing:
             return first, second, server.router.respawns[shard]
 
         first, second, respawns = _run(
-            _with_server(ServerConfig(port=0, shards=2, batch_window=0.002), scenario)
+            _with_server(ServerConfig(port=0, shards=2), scenario)
         )
         assert first[0] == 200 and first[1]["results"] == [0.5]
         assert second[0] == 200 and second[1]["results"] == [0.5]
@@ -325,7 +342,7 @@ class TestTransportsAgree:
             return ws_response, ws_error, http_response
 
         ws_response, ws_error, http_response = _run(
-            _with_server(ServerConfig(port=0, shards=1, batch_window=0.002), scenario)
+            _with_server(ServerConfig(port=0, shards=1), scenario)
         )
         expected = InferenceService().evaluate(HOT_PROGRAM, HOT_DATABASE, HOT_QUERIES)
         assert ws_response["ok"] and ws_response["results"] == expected
@@ -365,7 +382,7 @@ class TestTransportsAgree:
             return batch, sample
 
         batch, sample = _run(
-            _with_server(ServerConfig(port=0, shards=1, batch_window=0.0), scenario)
+            _with_server(ServerConfig(port=0, shards=1), scenario)
         )
         direct = InferenceService()
         assert batch[0] == 200
@@ -396,7 +413,7 @@ class TestTransportsAgree:
             return status, body if isinstance(body, str) else body.decode("utf-8")
 
         status, text = _run(
-            _with_server(ServerConfig(port=0, shards=2, batch_window=0.002), scenario)
+            _with_server(ServerConfig(port=0, shards=2), scenario)
         )
         assert status == 200
         assert 'gdatalog_requests_total{route="query",status="200"} 3' in text
@@ -427,7 +444,7 @@ class TestDrain:
             return status, payload, drained
 
         status, payload, drained = _run(
-            _with_server(ServerConfig(port=0, shards=1, batch_window=0.0), scenario)
+            _with_server(ServerConfig(port=0, shards=1), scenario)
         )
         assert status == 200 and payload["ok"] and payload["id"] == "slow"
         assert drained
@@ -573,7 +590,7 @@ class TestStreamingUpdates:
             return opening, update, follow_up, retract, metrics
 
         opening, update, follow_up, retract, metrics = _run(
-            _with_server(ServerConfig(port=0, shards=2, batch_window=0.0), scenario)
+            _with_server(ServerConfig(port=0, shards=2), scenario)
         )
         assert opening[0] == 200 and opening[1]["results"] == [1.0, 0.0]
         assert update[0] == 200 and update[1]["results"] == [1.0, 0.5]
@@ -607,7 +624,7 @@ class TestStreamingUpdates:
             )
 
         status, payload = _run(
-            _with_server(ServerConfig(port=0, shards=1, batch_window=0.0), scenario)
+            _with_server(ServerConfig(port=0, shards=1), scenario)
         )
         assert status == 400 and not payload["ok"]
         assert "unknown delta spec keys" in payload["error"]
@@ -646,7 +663,7 @@ class TestStreamingUpdates:
             return after, server.router.respawns[shard]
 
         after, respawns = _run(
-            _with_server(ServerConfig(port=0, shards=2, batch_window=0.0), scenario)
+            _with_server(ServerConfig(port=0, shards=2), scenario)
         )
         assert after[0] == 200 and after[1]["results"] == [0.0, 1.0]
         assert respawns == 1

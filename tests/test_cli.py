@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,13 @@ RESILIENCE_FACTS = REPO_ROOT / "examples" / "programs" / "resilience.facts"
 DIME_QUARTER_PROGRAM = REPO_ROOT / "examples" / "programs" / "dime_quarter.dl"
 DIME_QUARTER_FACTS = REPO_ROOT / "examples" / "programs" / "dime_quarter.facts"
 COIN_PROGRAM = REPO_ROOT / "examples" / "programs" / "coin.dl"
+
+#: Removed flags, each with a command line that once accepted it.
+REMOVED_FLAGS = {
+    "--no-columnar": ["run", str(COIN_PROGRAM), "--no-columnar"],
+    "--no-incremental": ["run", str(COIN_PROGRAM), "--no-incremental"],
+    "--batch-window": ["serve", "--batch-window", "2"],
+}
 
 
 class TestParser:
@@ -38,10 +46,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "p.dl", "--grounder", "clever"])
 
-    @pytest.mark.parametrize("flag", ["--no-columnar", "--no-incremental"])
-    def test_removed_reference_flags_rejected(self, flag, capsys):
+    @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
+    def test_removed_reference_flags_rejected(self, flag, capsys, monkeypatch):
+        # An accepted ``serve`` line would read requests from stdin.
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", str(COIN_PROGRAM), flag])
+            main(REMOVED_FLAGS[flag])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
