@@ -23,6 +23,7 @@ import pytest
 from repro.analysis import TextTable, Timer
 from repro.gdatalog.chase import ChaseConfig
 from repro.gdatalog.engine import GDatalogEngine
+from repro.ppdl.queries import AtomQuery
 from repro.workloads import wide_database, wide_program, wide_query_atoms
 
 SIZES = (8, 12)
@@ -45,9 +46,9 @@ def _queries(column: int) -> list:
 
 def _run(columns: int, slice: bool, constrained: bool = False, factorize: bool = False) -> list[float]:
     """End-to-end exact answers: build, (slice,) chase, solve, answer."""
-    return _engine(columns, constrained, factorize).evaluate_queries(
-        _queries(column=columns // 2), slice=slice
-    )
+    engine = _engine(columns, constrained, factorize)
+    queries = _queries(column=columns // 2)
+    return (engine.sliced(queries) if slice else engine).evaluate_queries(queries)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -85,7 +86,7 @@ def test_e12_unreachable_query_yields_the_empty_slice_fast_path():
     assert sliced.query_slice is not None and sliced.query_slice.is_empty
     assert len(sliced.output_space()) == 1  # the single empty outcome
     assert sliced.marginal("nowhere(1)") == 0.0
-    assert engine.marginal("nowhere(1)", slice=True) == 0.0
+    assert engine.sliced([AtomQuery.of("nowhere(1)", "brave")]).marginal("nowhere(1)") == 0.0
 
 
 def test_e12_report(benchmark):

@@ -448,7 +448,8 @@ def _command_batch(args: argparse.Namespace) -> str:
     engine = _make_engine(args)
     queries = [HasStableModelQuery()] + [AtomQuery.of(text, args.mode) for text in args.atom]
     labels = ["has stable model"] + list(args.atom)
-    probabilities = engine.evaluate_queries(queries, workers=args.workers, slice=args.slice)
+    target = engine.sliced(queries) if args.slice else engine
+    probabilities = target.evaluate_queries(queries, workers=args.workers)
     if args.json:
         return json.dumps(dict(zip(labels, probabilities)), indent=2)
     table = TextTable(
@@ -465,7 +466,7 @@ def _command_batch(args: argparse.Namespace) -> str:
             # parallel run; report the process-wide caches instead.
             rendered += "\n\n" + "\n".join(cache_profile_lines())
         else:
-            rendered += "\n\n" + engine.profile_summary()
+            rendered += "\n\n" + target.profile_summary()
     return rendered
 
 

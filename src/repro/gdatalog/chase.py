@@ -94,17 +94,12 @@ class ChaseConfig:
     factorize:
         Whether exact inference may decompose the ground program into
         independent components and chase each on its own sub-database
-        (see :mod:`repro.gdatalog.factorize`).  Read by the engine layer,
-        not by :class:`ChaseEngine` itself; programs whose ground
-        dependency graph is connected fall back to the sequential chase.
-    slice_for_query:
-        Query atoms (or atom strings) the engine may slice the program for
-        before grounding: only the backward-reachable part of the rule
-        graph — plus every constraint, negative cycle and inexact choice —
-        is chased (see :mod:`repro.gdatalog.relevance`).  ``()`` slices to
-        the model-killing core (the exact slice for stable-model-existence
-        queries); ``None`` (the default) disables slicing.  Read by the
-        engine layer, not by :class:`ChaseEngine` itself.
+        (see :mod:`repro.gdatalog.factorize`).  Read by
+        :meth:`~repro.gdatalog.engine.GDatalogEngine.output_space`, not by
+        :class:`ChaseEngine` itself; programs whose ground dependency graph
+        is connected fall back to the sequential chase.  Query-relevant
+        slicing is not a chase setting: ask the engine for
+        :meth:`~repro.gdatalog.engine.GDatalogEngine.sliced`.
     """
 
     max_depth: int = 200
@@ -116,7 +111,6 @@ class ChaseConfig:
     seed: int = 0
     incremental: bool = True
     factorize: bool = False
-    slice_for_query: tuple[Atom | str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -150,19 +144,10 @@ class ChaseStats:
     grounding_seconds: float = 0.0
     incremental_extensions: int = 0
     full_groundings: int = 0
-    join_index_probes: int = 0
-    join_full_scans: int = 0
-    join_plans_compiled: int = 0
-    join_plans_reused: int = 0
 
     def merge_grounder(self, grounder: Grounder) -> None:
-        grounder.stats.sync_join_counters()
         self.incremental_extensions = grounder.stats.incremental_extensions
         self.full_groundings = grounder.stats.full_groundings
-        self.join_index_probes = grounder.stats.index_probes
-        self.join_full_scans = grounder.stats.full_scans
-        self.join_plans_compiled = grounder.stats.plans_compiled
-        self.join_plans_reused = grounder.stats.plans_reused
 
 
 @dataclass

@@ -74,8 +74,9 @@ class ProgramAnalysis:
     :meth:`delta_patchable` matches
     :func:`repro.gdatalog.incremental.patch_eligible`, and
     :meth:`decomposition` *is* :func:`repro.gdatalog.factorize.decompose`
-    memoised per chase config — so pre-selected strategies produce
-    bit-identical answers (the Hypothesis suites pin this).
+    memoised for the latest database and chase config — so pre-selected
+    strategies produce bit-identical answers (the Hypothesis suites pin
+    this).
     """
 
     def __init__(
@@ -121,7 +122,7 @@ class ProgramAnalysis:
             digest.update(line.encode("utf-8"))
             digest.update(b"\n")
         self.program_digest = digest.hexdigest()
-        self._decompositions: dict[tuple[Database, str], Any] = {}
+        self._decomposition: tuple[tuple[Database, str], Any] | None = None
         self._patchable: dict[frozenset[Predicate], bool] = {}
 
     def with_database(
@@ -151,6 +152,7 @@ class ProgramAnalysis:
         derived = copy.copy(self)
         derived.database = database
         derived.database_source = database_source
+        derived._decomposition = None
         derived.diagnostics = _ordered(
             self._program_diagnostics + tuple(_database_passes(self.program, database, spans))
         )
@@ -220,21 +222,25 @@ class ProgramAnalysis:
         )
 
     def decomposition(self, translated: Any, database: Database, config: Any) -> Any:
-        """The factorization decomposition, memoised per (database, config).
+        """The factorization decomposition of *database* under *config*, memoised.
 
         *translated* must be the translation of this analysis's program
         (the engine passes its own); the result is exactly
-        :func:`repro.gdatalog.factorize.decompose`'s, memoised so the
-        engine and service reuse the component partition across requests —
-        and across delta updates, where the same analysis serves engines
-        over different databases.
+        :func:`repro.gdatalog.factorize.decompose`'s.  Only the latest
+        (database, config) is kept: every engine memoises its own space,
+        so the partition is asked for again only while that space is
+        built, and across delta updates — where the same analysis serves
+        engines over ever new databases — a memo per database would keep
+        each of them alive.
         """
         key = (database, repr(config))
-        if key not in self._decompositions:
+        memo = self._decomposition
+        if memo is None or memo[0] != key:
             from repro.gdatalog.factorize import decompose
 
-            self._decompositions[key] = decompose(translated, database, config)
-        return self._decompositions[key]
+            memo = (key, decompose(translated, database, config))
+            self._decomposition = memo
+        return memo[1]
 
     # -- reporting -----------------------------------------------------------
 

@@ -15,16 +15,16 @@ Typical usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+import threading
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from repro.gdatalog.checker import ProgramAnalysis
+    from repro.runtime.service import ComponentCache
 
 from repro.exceptions import GroundingError, ValidationError
 from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseResult
-from repro.gdatalog.factorize import factorized_space
+from repro.gdatalog.factorize import ProductSpace, factorized_space
 from repro.gdatalog.grounders import Grounder, grounder_name, make_grounder
 from repro.gdatalog.outcomes import PossibleOutcome
 from repro.gdatalog.probability_space import AbstractSpace, OutputSpace
@@ -32,7 +32,7 @@ from repro.gdatalog.relevance import QuerySlice, atoms_for_queries, compute_slic
 from repro.gdatalog.sampler import Estimate, MonteCarloSampler
 from repro.gdatalog.syntax import GDatalogProgram, desugar_constraints
 from repro.gdatalog.translate import TranslatedProgram, translate_program
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, Predicate
 from repro.logic.database import Database
 from repro.logic.parser import parse_atom, parse_database, parse_gdatalog_program
 
@@ -51,6 +51,7 @@ class GDatalogEngine:
         constraint_mode: str = "native",
         require_edb_database: bool = False,
         analysis: "ProgramAnalysis | None" = None,
+        component_cache: "ComponentCache | None" = None,
     ):
         if constraint_mode not in ("native", "desugar"):
             raise ValidationError(f"constraint_mode must be 'native' or 'desugar', got {constraint_mode!r}")
@@ -63,25 +64,25 @@ class GDatalogEngine:
             # the default.
             self._validate_database()
         self.chase_config = chase_config or ChaseConfig()
-        #: The query-relevant slice applied to this engine (``None`` when
-        #: slicing was not requested; ``is_full`` when it cut nothing).
+        #: The query-relevant slice this engine was built over by
+        #: :meth:`slice_engine` (``None`` for an engine over the whole program).
         self.query_slice: QuerySlice | None = None
-        if self.chase_config.slice_for_query is not None:
-            permanent = analysis.permanent_seeds if analysis is not None else None
-            self.query_slice = compute_slice(
-                self.program,
-                self.database,
-                self.chase_config.slice_for_query,
-                permanent=permanent,
-            )
-            if not self.query_slice.is_full:
-                self.program = self.query_slice.program
-                self.database = self.query_slice.database
+        #: The chased components of an :class:`~repro.runtime.service.InferenceService`,
+        #: shared by the engines it builds (``None``: chase every component).
+        self.component_cache = component_cache
+        # One lock per engine guards its memos, so two threads never chase
+        # one engine twice while engines never wait on each other.
+        # Reentrant: building the space reads the analysis.
+        self._lock = threading.RLock()
+        self._analysis: "ProgramAnalysis | None" = None
         if analysis is not None and analysis.program.rules == self.program.rules:
             # A precomputed analysis is only valid for this exact rule set;
-            # when slicing or desugaring rewrote the program, the engine
-            # derives its own lazily instead.
-            self.analysis = analysis
+            # when desugaring rewrote the program, the engine derives its
+            # own lazily instead.
+            self._analysis = analysis
+        self._chase_result: ChaseResult | None = None
+        self._space: AbstractSpace | None = None
+        self._sliced_engines: dict[frozenset[Predicate], GDatalogEngine] = {}
         self.translated: TranslatedProgram = translate_program(self.program)
         self.grounder: Grounder = make_grounder(grounder, self.translated, self.database)
         try:
@@ -132,63 +133,84 @@ class GDatalogEngine:
 
     # -- static analysis ------------------------------------------------------------
 
-    @cached_property
+    @property
     def analysis(self) -> "ProgramAnalysis":
         """The static :class:`~repro.gdatalog.checker.ProgramAnalysis` of this engine.
 
-        Computed lazily (or supplied precomputed via the constructor); its
+        Computed once (or supplied precomputed via the constructor); its
         memoised strategy inputs — factorization decomposition, permanent
         slice seeds, choice cone — replace the per-request derivations in
-        :meth:`output_space`, :meth:`sliced` and :meth:`updated`.
+        :meth:`output_space`, :meth:`relevant_slice` and :meth:`updated`.
         """
-        from repro.gdatalog.checker import analyze_program
+        analysis = self._analysis
+        if analysis is None:
+            with self._lock:
+                if self._analysis is None:
+                    from repro.gdatalog.checker import analyze_program
 
-        return analyze_program(self.program, self.database)
+                    self._analysis = analyze_program(self.program, self.database)
+                analysis = self._analysis
+        return analysis
 
     # -- exact inference --------------------------------------------------------------
 
-    @cached_property
+    @property
     def chase_result(self) -> ChaseResult:
-        """The exhaustive chase (cached; rerun by constructing a new engine)."""
-        return ChaseEngine(self.grounder, self.chase_config).run()
+        """The exhaustive chase (run once; rerun by constructing a new engine)."""
+        result = self._chase_result
+        if result is None:
+            with self._lock:
+                if self._chase_result is None:
+                    self._chase_result = ChaseEngine(self.grounder, self.chase_config).run()
+                result = self._chase_result
+        return result
 
     def output_space(self, workers: int | None = None) -> AbstractSpace:
         """The output probability space ``Π_G(D)`` restricted to finite outcomes.
 
-        With :attr:`ChaseConfig.factorize` set, the ground program is
-        decomposed into independent components and the result is a lazy
-        :class:`~repro.gdatalog.factorize.ProductSpace`; connected (or
+        Built on the first call and returned by every later one, whatever
+        their *workers*: the strategies below yield the same space.  With
+        :attr:`ChaseConfig.factorize` set, the ground program is decomposed
+        into independent components and the result is a lazy
+        :class:`~repro.gdatalog.factorize.ProductSpace`, whose parts come
+        from :attr:`component_cache` when the engine has one; connected (or
         otherwise ineligible) programs fall back to the flat
-        :class:`OutputSpace` transparently.  *workers* routes the chase —
-        per component when factorized, per subtree otherwise — through the
-        parallel runtime.
+        :class:`OutputSpace`.  *workers* routes the chase — per component
+        when factorized, per subtree otherwise — through the parallel
+        runtime.
         """
-        if self.chase_config.factorize:
-            space = self._factorized_space(workers=workers)
-            if space is not None:
-                return space
+        space = self._space
+        if space is None:
+            with self._lock:
+                if self._space is None:
+                    self._space = self._build_space(workers)
+                space = self._space
+        return space
+
+    def _build_space(self, workers: int | None) -> AbstractSpace:
+        """Choose the strategy — factorized, parallel or sequential — and run it."""
+        config = self.chase_config
+        if config.factorize:
+            decomposition = self.analysis.decomposition(self.translated, self.database, config)
+            if decomposition is not None:
+                return factorized_space(
+                    self.grounder,
+                    config,
+                    workers=workers,
+                    decomposition=decomposition,
+                    cache=self.component_cache,
+                    program_digest=self.analysis.program_digest,
+                )
         if workers is not None and workers > 1:
             return self.parallel_output_space(workers=workers)
         result = self.chase_result
         return OutputSpace(result.outcomes, error_probability=result.error_probability)
 
-    def _factorized_space(self, workers: int | None = None):
-        """The cached factorized space, or ``None`` when the program is connected."""
-        if "factorized" not in self.__dict__:
-            decomposition = self.analysis.decomposition(
-                self.translated, self.database, self.chase_config
-            )
-            self.__dict__["factorized"] = (
-                None
-                if decomposition is None
-                else factorized_space(
-                    self.grounder,
-                    self.chase_config,
-                    workers=workers,
-                    decomposition=decomposition,
-                )
-            )
-        return self.__dict__["factorized"]
+    def _adopt_space(self, space: AbstractSpace) -> None:
+        """Take *space*, maintained from a pre-delta engine, as the memo of :meth:`output_space`."""
+        with self._lock:
+            if self._space is None:
+                self._space = space
 
     # -- streaming updates ---------------------------------------------------------
 
@@ -217,43 +239,61 @@ class GDatalogEngine:
 
     # -- query-relevant slicing -----------------------------------------------------
 
-    def sliced(self, queries: Iterable) -> "GDatalogEngine":
-        """An engine restricted to the query-relevant slice of the batch.
+    def relevant_slice(self, queries: Iterable) -> QuerySlice | None:
+        """The query-relevant slice of the batch, or ``None`` when only this engine answers it.
 
-        *queries* accepts the same forms as :meth:`evaluate_queries`; the
-        slice is the union over the batch (one sliced chase answers every
-        query in it).  Returns ``self`` — reusing any already-cached chase —
-        when the batch contains a generic query, when nothing can be cut,
-        or when the grounder is a custom family that cannot be rebuilt, so
-        callers never need a fallback path of their own.  Sliced engines
-        are memoized on the relevant predicate set: repeated queries into
-        the same slice reuse one engine (and its cached chase).
+        The one slicing decision, shared by :meth:`sliced` and the inference
+        service.  *queries* accepts the same forms as
+        :meth:`evaluate_queries`; the slice is the union over the batch (one
+        sliced chase answers every query in it).  ``None`` when the batch
+        contains a generic query, when nothing can be cut, or when the
+        grounder is a custom family that cannot be rebuilt.
         """
         from repro.ppdl.queries import query_from_spec
 
         if self._grounder_name is None:
-            return self
-        resolved = [query_from_spec(q) for q in queries]
-        seeds = atoms_for_queries(resolved)
+            return None
+        seeds = atoms_for_queries([query_from_spec(q) for q in queries])
         if seeds is None:
-            return self
+            return None
         slice_ = compute_slice(
             self.program, self.database, seeds, permanent=self.analysis.permanent_seeds
         )
-        if slice_.is_full:
-            return self
-        cache: dict = self.__dict__.setdefault("_sliced_engines", {})
-        cached = cache.get(slice_.predicates)
-        if cached is not None:
-            return cached
+        return None if slice_.is_full else slice_
+
+    def slice_engine(self, slice_: QuerySlice) -> "GDatalogEngine":
+        """A new engine over *slice_*, one of this engine's :meth:`relevant_slice` results.
+
+        It keeps this engine's grounder family, chase configuration and
+        component cache.
+        """
         engine = GDatalogEngine(
             slice_.program,
             slice_.database,
             grounder=self._grounder_name,
-            chase_config=replace(self.chase_config, slice_for_query=None),
+            chase_config=self.chase_config,
+            component_cache=self.component_cache,
         )
         engine.query_slice = slice_
-        cache[slice_.predicates] = engine
+        return engine
+
+    def sliced(self, queries: Iterable) -> "GDatalogEngine":
+        """An engine restricted to the query-relevant slice of the batch.
+
+        Returns ``self`` — reusing any already-built space — whenever
+        :meth:`relevant_slice` declines, so callers never need a fallback
+        path of their own.  Sliced engines are memoized on the relevant
+        predicate set: repeated queries into the same slice reuse one
+        engine (and its space).
+        """
+        slice_ = self.relevant_slice(queries)
+        if slice_ is None:
+            return self
+        engine = self._sliced_engines.get(slice_.predicates)
+        if engine is None:
+            built = self.slice_engine(slice_)
+            # Of two racing builds, every caller gets the one stored first.
+            engine = self._sliced_engines.setdefault(slice_.predicates, built)
         return engine
 
     def possible_outcomes(self) -> list[PossibleOutcome]:
@@ -266,32 +306,13 @@ class GDatalogEngine:
         """
         return list(self.output_space())
 
-    def probability_has_stable_model(self, slice: bool = False) -> float:
-        """P("Π[D] has some stable model").
-
-        With *slice* only the model-killing core (constraints, negative
-        cycles, inexact choices and their cones) is chased; everything else
-        is a factor of exactly 1.
-        """
-        if slice:
-            from repro.ppdl.queries import HasStableModelQuery
-
-            return self.sliced([HasStableModelQuery()]).output_space().probability_has_stable_model()
+    def probability_has_stable_model(self) -> float:
+        """P("Π[D] has some stable model")."""
         return self.output_space().probability_has_stable_model()
 
-    def marginal(self, atom: Atom | str, mode: str = "brave", slice: bool = False) -> float:
-        """Brave/cautious marginal probability of an atom (string or object).
-
-        With *slice* only the query-relevant part of the program is chased
-        (bit-identical answer; see :mod:`repro.gdatalog.relevance`).
-        """
+    def marginal(self, atom: Atom | str, mode: str = "brave") -> float:
+        """Brave/cautious marginal probability of an atom (string or object)."""
         resolved = parse_atom(atom) if isinstance(atom, str) else atom
-        if slice:
-            from repro.ppdl.queries import AtomQuery
-
-            return self.sliced([AtomQuery(resolved, mode)]).output_space().marginal(
-                resolved, mode=mode
-            )
         return self.output_space().marginal(resolved, mode=mode)
 
     def probability(self, predicate: Callable[[PossibleOutcome], bool]) -> float:
@@ -314,24 +335,19 @@ class GDatalogEngine:
         )
         return explorer.output_space()
 
-    def evaluate_queries(
-        self, queries, workers: int | None = None, slice: bool = False
-    ) -> list[float]:
+    def evaluate_queries(self, queries, workers: int | None = None) -> list[float]:
         """Answer many queries in one outcome scan (optionally chased in parallel).
 
         *queries* may be :class:`~repro.ppdl.queries.Query` objects, atom
         strings or wire-format specs (see
-        :func:`~repro.ppdl.queries.query_from_spec`).  With *slice* the
-        chase is restricted to the union of the batch's query-relevant
-        slices (transparent fallback when nothing can be cut).
+        :func:`~repro.ppdl.queries.query_from_spec`).  Call it on
+        :meth:`sliced` to chase only the batch's query-relevant slice.
         """
         from repro.ppdl.queries import query_from_spec
         from repro.runtime.batch import QueryBatch
 
-        resolved = [query_from_spec(q) for q in queries]
-        target = self.sliced(resolved) if slice else self
-        batch = QueryBatch(resolved)
-        return batch.evaluate(target.output_space(workers=workers))
+        batch = QueryBatch([query_from_spec(q) for q in queries])
+        return batch.evaluate(self.output_space(workers=workers))
 
     # -- approximate inference ------------------------------------------------------------
 
@@ -339,18 +355,8 @@ class GDatalogEngine:
         """A Monte-Carlo sampler sharing this engine's grounder and chase configuration."""
         return MonteCarloSampler(self.grounder, self.chase_config, seed=seed)
 
-    def estimate_has_stable_model(
-        self, n: int = 1000, seed: int | None = None, slice: bool = False
-    ) -> Estimate:
-        """Monte-Carlo estimate of P("Π[D] has some stable model").
-
-        With *slice* the sampler walks only the model-killing core, so each
-        path resolves only the triggers that can influence the answer.
-        """
-        if slice:
-            from repro.ppdl.queries import HasStableModelQuery
-
-            return self.sliced([HasStableModelQuery()]).estimate_has_stable_model(n=n, seed=seed)
+    def estimate_has_stable_model(self, n: int = 1000, seed: int | None = None) -> Estimate:
+        """Monte-Carlo estimate of P("Π[D] has some stable model")."""
         return self.sampler(seed=seed).estimate_has_stable_model(n=n)
 
     def estimate_marginal(
@@ -359,20 +365,9 @@ class GDatalogEngine:
         mode: str = "brave",
         n: int = 1000,
         seed: int | None = None,
-        slice: bool = False,
     ) -> Estimate:
-        """Monte-Carlo estimate of an atom marginal.
-
-        With *slice* sample paths resolve only the query-relevant triggers
-        (irrelevant choices are a factor of 1 and are never drawn).
-        """
+        """Monte-Carlo estimate of an atom marginal."""
         resolved = parse_atom(atom) if isinstance(atom, str) else atom
-        if slice:
-            from repro.ppdl.queries import AtomQuery
-
-            return self.sliced([AtomQuery(resolved, mode)]).estimate_marginal(
-                resolved, mode=mode, n=n, seed=seed
-            )
         return self.sampler(seed=seed).estimate_marginal(resolved, mode=mode, n=n)
 
     def adaptive_estimate(
@@ -381,30 +376,27 @@ class GDatalogEngine:
         target_half_width: float = 0.01,
         stratify: bool = False,
         seed: int | None = None,
-        slice: bool = False,
         **driver_options,
     ):
         """Adaptive Monte-Carlo estimate stopped at a target Wilson half-width.
 
         *query* accepts the same forms as :meth:`evaluate_queries`; extra
         keyword arguments reach
-        :class:`~repro.runtime.adaptive.AdaptiveSampler`.  With *slice* the
-        driver samples the query-relevant slice only.
+        :class:`~repro.runtime.adaptive.AdaptiveSampler`.  Call it on
+        :meth:`sliced` to sample the query-relevant slice only.
         """
         from repro.ppdl.queries import query_from_spec
         from repro.runtime.adaptive import AdaptiveSampler
 
-        resolved = query_from_spec(query)
-        engine = self.sliced([resolved]) if slice else self
         driver = AdaptiveSampler(
-            engine.grounder,
-            engine.chase_config,
+            self.grounder,
+            self.chase_config,
             target_half_width=target_half_width,
             stratify=stratify,
             seed=seed,
             **driver_options,
         )
-        return driver.estimate(resolved)
+        return driver.estimate(query_from_spec(query))
 
     # -- reporting -------------------------------------------------------------------------
 
@@ -430,8 +422,8 @@ class GDatalogEngine:
         components — exactly what factorization avoids).
         """
         if self.chase_config.factorize:
-            space = self._factorized_space()
-            if space is not None:
+            space = self.output_space()
+            if isinstance(space, ProductSpace):
                 lines = [
                     "-- chase profile (factorized) --",
                     f"independent components:   {len(space.components)}",
@@ -452,8 +444,6 @@ class GDatalogEngine:
                 f"grounding time:           {stats.grounding_seconds:.3f}s",
                 f"incremental extensions:   {stats.incremental_extensions}",
                 f"from-scratch groundings:  {stats.full_groundings}",
-                f"join probes/scans:        {stats.join_index_probes}/{stats.join_full_scans}",
-                f"join plans comp./reused:  {stats.join_plans_compiled}/{stats.join_plans_reused}",
             ]
         lines += cache_profile_lines()
         return "\n".join(lines)

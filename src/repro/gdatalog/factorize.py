@@ -37,16 +37,17 @@ the flat :class:`OutputSpace` path.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.exceptions import InferenceError
 from repro.gdatalog.atr import GroundAtRRule
 from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseResult
 from repro.gdatalog.dependency import ground_atom_components
-from repro.gdatalog.grounders import Grounder, heads_of
+from repro.gdatalog.grounders import Grounder, grounder_name, heads_of
 from repro.gdatalog.outcomes import PossibleOutcome
 from repro.gdatalog.probability_space import (
     AbstractSpace,
@@ -60,6 +61,9 @@ from repro.logic.atoms import Atom
 from repro.logic.database import Database
 from repro.logic.intern import intern_rule
 from repro.logic.rules import Rule, fact_rule
+
+if TYPE_CHECKING:
+    from repro.runtime.service import ComponentCache
 
 __all__ = [
     "Component",
@@ -98,7 +102,7 @@ def saturated_grounding(
     """
     registry = translated.program.registry
     initial_rules = tuple(
-        intern_rule(fact_rule(a)) for a in sorted(database.facts, key=Atom.sort_key)
+        intern_rule(fact_rule(a)) for a in database.canonical_facts
     )
     specs = {spec.active_predicate: spec for spec in translated.atr_specs}
     atr_union: set[GroundAtRRule] = set()
@@ -203,7 +207,7 @@ def decompose(
         for atom_ in members:
             component_of[atom_] = index
     facts_by_component: dict[int, list[Atom]] = {}
-    for atom_ in sorted(database.facts, key=Atom.sort_key):
+    for atom_ in database.canonical_facts:
         facts_by_component.setdefault(component_of[atom_], []).append(atom_)
 
     generative: list[Component] = []
@@ -508,8 +512,9 @@ def explore_component_spaces(
     With ``workers > 1`` (and more than one component) the chases run on the
     forked worker pool — components are the parallel-split unit (see
     :func:`repro.runtime.pool.explore_components`); otherwise they run
-    inline.  Shared by :func:`factorized_space` and the inference service's
-    component cache, which only chases the components it has not seen.
+    inline.  Shared by :func:`factorized_space` and delta maintenance
+    (:mod:`repro.gdatalog.incremental`), which only chase the components
+    they do not already hold.
     """
     if workers is not None and workers > 1 and len(components) > 1:
         from repro.runtime.pool import explore_components
@@ -525,11 +530,32 @@ def explore_component_spaces(
     return [component_space(grounder, c, config) for c in components]
 
 
+def _component_key(
+    program_digest: str, component: Component, grounder: str, config: ChaseConfig
+) -> str:
+    """The content address of *component*'s chased space.
+
+    That space is a deterministic function of the program, the component's
+    facts, the grounder family and the chase configuration, so engines over
+    different databases share the spaces of equal components.
+    """
+    digest = hashlib.sha256()
+    digest.update(program_digest.encode("utf-8"))
+    digest.update(b"\x00")
+    digest.update("\n".join(str(fact) for fact in component.facts).encode("utf-8"))
+    digest.update(b"\x00")
+    digest.update(grounder.encode("utf-8"))
+    digest.update(repr(config).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def factorized_space(
     grounder: Grounder,
     config: ChaseConfig | None = None,
     workers: int | None = None,
     decomposition: Decomposition | None = None,
+    cache: "ComponentCache | None" = None,
+    program_digest: str = "",
 ) -> ProductSpace | None:
     """The factorized output space of a grounder, or ``None`` to fall back.
 
@@ -537,12 +563,28 @@ def factorized_space(
     :class:`~repro.gdatalog.checker.ProgramAnalysis` supply its memoised
     component partition instead of re-deriving it here; it must be the
     partition :func:`decompose` yields for this grounder's translated
-    program, database and *config*.
+    program, database and *config*.  With a *cache*, the components it
+    holds under the same *program_digest* (the analysis's), grounder
+    family and *config* are not chased again, and the others are chased
+    and stored in it.
     """
     config = config or ChaseConfig()
     if decomposition is None:
         decomposition = decompose(grounder.translated, grounder.database, config)
     if decomposition is None:
         return None
-    parts = explore_component_spaces(grounder, decomposition.components, config, workers=workers)
+    components = decomposition.components
+    if cache is None:
+        parts = explore_component_spaces(grounder, components, config, workers=workers)
+        return ProductSpace(parts, grounder.translated)
+    family = grounder_name(grounder)
+    keys = [_component_key(program_digest, c, family, config) for c in components]
+    parts = [cache.get(key) for key in keys]
+    missing = [index for index, part in enumerate(parts) if part is None]
+    chased = explore_component_spaces(
+        grounder, [components[index] for index in missing], config, workers=workers
+    )
+    for index, part in zip(missing, chased):
+        parts[index] = part
+        cache.put(keys[index], part)
     return ProductSpace(parts, grounder.translated)

@@ -55,7 +55,7 @@ the naive matcher's (``tests/property/test_join_equivalence``).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.exceptions import GroundingError, StratificationError
@@ -64,7 +64,7 @@ from repro.gdatalog.translate import TranslatedProgram
 from repro.logic.atoms import Atom, Predicate
 from repro.logic.database import Database
 from repro.logic.intern import intern_atom, intern_rule
-from repro.logic.join import ArgIndex, iter_join, iter_join_seminaive, join_stats
+from repro.logic.join import ArgIndex, iter_join, iter_join_seminaive
 from repro.logic.rules import Rule, fact_rule
 from repro.logic.unify import FactIndex
 
@@ -87,46 +87,18 @@ def heads_of(rules: Iterable[Rule]) -> frozenset[Atom]:
 
 @dataclass
 class GrounderStats:
-    """Counters describing how a grounder's work was split (``--profile``).
+    """How a grounder's work was split (``--profile``).
 
-    The join counters (``index_probes`` / ``full_scans`` — candidate sets
-    answered from argument-position buckets vs. whole-extent enumerations —
-    and ``plans_compiled`` / ``plans_reused``) are deltas of the process-wide
-    :data:`repro.logic.join.JOIN_STATS` since the last :meth:`reset`,
-    populated by :meth:`sync_join_counters`.  Like the intern-table and
-    solver-cache counters, they are process-global: with several engines
-    chasing concurrently (threaded ``serve``) a grounder's window includes
-    the other engines' traffic, so treat per-run join numbers as indicative
-    in multi-engine processes.
+    The join-engine counters are process-wide
+    (:data:`repro.logic.join.JOIN_STATS`), not per grounder.
     """
 
     full_groundings: int = 0
     incremental_extensions: int = 0
-    rules_derived: int = 0
-    index_probes: int = 0
-    full_scans: int = 0
-    plans_compiled: int = 0
-    plans_reused: int = 0
-    _join_baseline: tuple[int, int, int, int] = field(default=(0, 0, 0, 0), repr=False)
 
     def reset(self) -> None:
         self.full_groundings = 0
         self.incremental_extensions = 0
-        self.rules_derived = 0
-        self.index_probes = 0
-        self.full_scans = 0
-        self.plans_compiled = 0
-        self.plans_reused = 0
-        self._join_baseline = join_stats().snapshot()
-
-    def sync_join_counters(self) -> None:
-        """Refresh the join counters from the process-wide totals."""
-        probes, scans, compiled, reused = join_stats().snapshot()
-        base = self._join_baseline
-        self.index_probes = probes - base[0]
-        self.full_scans = scans - base[1]
-        self.plans_compiled = compiled - base[2]
-        self.plans_reused = reused - base[3]
 
 
 class GroundingState:
@@ -206,7 +178,7 @@ class Grounder(abc.ABC):
         self.translated = translated
         self.database = database
         self._fact_rules: tuple[Rule, ...] = tuple(
-            intern_rule(fact_rule(a)) for a in sorted(database.facts, key=Atom.sort_key)
+            intern_rule(fact_rule(a)) for a in database.canonical_facts
         )
         self._active_predicates: set[Predicate] = set(translated.active_predicates)
         self.stats = GrounderStats()
@@ -567,7 +539,6 @@ class SimpleGrounder(Grounder):
                     if not grounded.is_ground or grounded in rules:
                         continue
                     rules.add(grounded)
-                    self.stats.rules_derived += 1
                     if heads.add(grounded.head):
                         next_delta.add(grounded.head)
                         total_delta.add(grounded.head)

@@ -1,8 +1,10 @@
 """Incremental view maintenance of chased output spaces under fact deltas.
 
 Given an engine whose output space (flat or factorized) has already been
-chased, :func:`maintain_engine` builds the engine of the **post-delta**
-database while reusing as much chase structure as the change allows.  Three
+built, :func:`maintain_engine` builds the engine of the **post-delta**
+database while reusing as much chase structure as the change allows; the
+maintained space becomes the new engine's own, exactly as if its
+:meth:`~repro.gdatalog.engine.GDatalogEngine.output_space` had built it.  Three
 modes, picked per delta:
 
 ``patch``
@@ -43,8 +45,9 @@ modes, picked per delta:
 
 ``rebuild``
     Everything else (choice-cone deltas under a flat configuration, perfect
-    grounder retractions, engines with no cached chase).  The new engine is
-    returned cold and chases lazily — always correct, never reused.
+    grounder retractions, engines that have not built their space yet).  The
+    new engine is returned cold and chases lazily — always correct, never
+    reused.
 
 A flat configuration with an affected choice cone is deliberately **not**
 patched by re-chasing subtrees into a shared structure: outcome
@@ -59,7 +62,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
-from repro.gdatalog.chase import ChaseResult
 from repro.gdatalog.engine import GDatalogEngine
 from repro.gdatalog.factorize import (
     ComponentSpace,
@@ -149,30 +151,11 @@ def _report(mode: str, delta: DbDelta, invalidated: int = 0, reused: int = 0) ->
     )
 
 
-def _cached_flat_result(engine: GDatalogEngine, old_space) -> ChaseResult | None:
-    """The engine's already-chased flat result, if any (never triggers a chase)."""
-    result = engine.__dict__.get("chase_result")
-    if result is not None:
-        return result
-    if isinstance(old_space, OutputSpace):
-        # E.g. the service's parallel-explorer path: the space exists but
-        # the engine's cached_property was never populated.  Truncation
-        # counters are not recoverable from a space; they are reporting
-        # metadata only, so zero is safe.
-        return ChaseResult(
-            outcomes=list(old_space.outcomes),
-            error_probability=old_space.error_probability,
-            truncated_paths=0,
-            max_depth_reached=0,
-        )
-    return None
-
-
 def _patch_flat(
     engine: GDatalogEngine,
     new_engine: GDatalogEngine,
     delta: DbDelta,
-    old_result: ChaseResult,
+    base_space: OutputSpace,
 ) -> OutputSpace:
     """Patch every chase leaf with the root-level grounding diff."""
     old_root = engine.grounder.initial_state()
@@ -183,7 +166,7 @@ def _patch_flat(
 
     translated = new_engine.translated
     outcomes = []
-    for outcome in old_result.outcomes:
+    for outcome in base_space.outcomes:
         patched = PossibleOutcome(
             outcome.atr_rules,
             (outcome.grounding - removed) | added,
@@ -193,29 +176,21 @@ def _patch_flat(
         if "choice_key" in outcome.__dict__:
             patched.__dict__["choice_key"] = outcome.__dict__["choice_key"]
         outcomes.append(patched)
-    result = ChaseResult(
-        outcomes=outcomes,
-        error_probability=old_result.error_probability,
-        truncated_paths=old_result.truncated_paths,
-        max_depth_reached=old_result.max_depth_reached,
-    )
-    new_engine.__dict__["chase_result"] = result
-    return OutputSpace(result.outcomes, error_probability=result.error_probability)
+    return OutputSpace(outcomes, error_probability=base_space.error_probability)
 
 
 def maintain_engine(
-    engine: GDatalogEngine,
-    delta: DbDelta | Mapping,
-    old_space: AbstractSpace | None = None,
+    engine: GDatalogEngine, delta: DbDelta | Mapping
 ) -> tuple[GDatalogEngine, AbstractSpace | None, UpdateReport]:
     """The engine of the post-delta database, reusing *engine*'s chase work.
 
-    *old_space* optionally carries the already-computed space when the
-    caller (the inference service) keeps it outside the engine; otherwise
-    the engine's own caches are consulted.  Returns the new engine, the
-    maintained space (``None`` when the new engine must chase lazily) and
-    the :class:`UpdateReport`.  The original engine is never mutated — its
-    caches stay valid for the pre-delta state.
+    Reuses the space *engine* has built (:meth:`GDatalogEngine.output_space`),
+    after waiting for a build in flight.  Returns the new engine, the
+    maintained space — which the new engine also holds as its own — or
+    ``None`` when the new engine must chase lazily, and the
+    :class:`UpdateReport`.  The new engine shares *engine*'s component
+    cache.  The original engine is never mutated — its space stays valid
+    for the pre-delta state.
     """
     if not isinstance(delta, DbDelta):
         delta = DbDelta.from_spec(delta)
@@ -229,10 +204,12 @@ def maintain_engine(
             "cannot delta-update an engine with a custom grounder instance; "
             "the post-delta grounder family cannot be rebuilt"
         )
+    with engine._lock:
+        base_space = engine._space
 
     effective = delta.effective(engine.database)
     if effective.is_empty:
-        return engine, old_space, _report("noop", effective)
+        return engine, base_space, _report("noop", effective)
 
     new_engine = GDatalogEngine(
         engine.program,
@@ -240,22 +217,18 @@ def maintain_engine(
         grounder=engine._grounder_name,
         chase_config=engine.chase_config,
         # The rule set is unchanged, so the pre-delta engine's static
-        # analysis (choice cone, permanent seeds, memoised decompositions)
-        # carries over verbatim.
+        # analysis (choice cone, permanent seeds) carries over verbatim.
         analysis=engine.analysis,
+        component_cache=engine.component_cache,
     )
     config = engine.chase_config
 
     if config.factorize:
-        old_product = old_space if isinstance(old_space, ProductSpace) else None
-        if old_product is None:
-            cached = engine.__dict__.get("factorized")
-            old_product = cached if isinstance(cached, ProductSpace) else None
         decomposition = new_engine.analysis.decomposition(
             new_engine.translated, new_engine.database, config
         )
-        if decomposition is not None and old_product is not None:
-            by_identity: dict = {part.component: part for part in old_product.components}
+        if decomposition is not None and isinstance(base_space, ProductSpace):
+            by_identity: dict = {part.component: part for part in base_space.components}
             parts: list[ComponentSpace | None] = []
             missing = []
             for index, component in enumerate(decomposition.components):
@@ -268,8 +241,8 @@ def maintain_engine(
             )
             for (index, _), part in zip(missing, fresh):
                 parts[index] = part
-            space = ProductSpace(parts, new_engine.translated)
-            new_engine.__dict__["factorized"] = space
+            space: AbstractSpace = ProductSpace(parts, new_engine.translated)
+            new_engine._adopt_space(space)
             report = _report(
                 "component", effective, invalidated=len(missing), reused=len(parts) - len(missing)
             )
@@ -281,15 +254,15 @@ def maintain_engine(
         if decomposition is not None:
             return new_engine, None, _report("rebuild", effective)
 
-    old_result = _cached_flat_result(engine, old_space)
     if (
-        old_result is not None
+        isinstance(base_space, OutputSpace)
         and engine._grounder_name == "simple"
         and engine.analysis.delta_patchable(effective.predicates())
     ):
-        space = _patch_flat(engine, new_engine, effective, old_result)
+        space = _patch_flat(engine, new_engine, effective, base_space)
+        new_engine._adopt_space(space)
         return new_engine, space, _report(
-            "patch", effective, invalidated=0, reused=len(old_result.outcomes)
+            "patch", effective, invalidated=0, reused=len(base_space.outcomes)
         )
 
     return new_engine, None, _report("rebuild", effective)

@@ -35,6 +35,7 @@ class Database:
         self._by_predicate: dict[Predicate, frozenset[Atom]] = {
             p: frozenset(s) for p, s in by_predicate.items()
         }
+        self._canonical: tuple[Atom, ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -86,6 +87,17 @@ class Database:
     def facts(self) -> frozenset[Atom]:
         """The underlying set of ground atoms."""
         return self._facts
+
+    @property
+    def canonical_facts(self) -> tuple[Atom, ...]:
+        """The facts in canonical :meth:`~repro.logic.atoms.Atom.sort_key` order.
+
+        Sorted on first use and kept: cache keys, grounders and the
+        factorization all read this one order of the same immutable set.
+        """
+        if self._canonical is None:
+            self._canonical = tuple(sorted(self._facts, key=Atom.sort_key))
+        return self._canonical
 
     @property
     def schema(self) -> frozenset[Predicate]:

@@ -81,7 +81,6 @@ __all__ = [
     "JoinStats",
     "JOIN_STATS",
     "join_stats",
-    "reset_join_stats",
     "clear_plan_cache",
     "iter_join",
     "iter_join_seminaive",
@@ -131,11 +130,6 @@ class JoinStats:
             self.plans_compiled = 0
             self.plans_reused = 0
 
-    def snapshot(self) -> tuple[int, int, int, int]:
-        """(probes, scans, compiled, reused) — for delta-based per-run stats."""
-        with self._lock:
-            return (self.index_probes, self.full_scans, self.plans_compiled, self.plans_reused)
-
 
 #: The process-wide counter instance.
 JOIN_STATS = JoinStats()
@@ -144,11 +138,6 @@ JOIN_STATS = JoinStats()
 def join_stats() -> JoinStats:
     """The process-wide join-engine counters."""
     return JOIN_STATS
-
-
-def reset_join_stats() -> None:
-    """Zero the process-wide counters (used by tests and benchmarks)."""
-    JOIN_STATS.reset()
 
 
 class ArgIndex(FactIndex):

@@ -12,21 +12,24 @@ of :class:`~repro.gdatalog.engine.GDatalogEngine` instances keyed on a
 * the database facts are sorted the same way;
 * the grounder name and chase configuration complete the key.
 
-Exact answers go through the parallel explorer
-(:class:`~repro.runtime.pool.ParallelChaseExplorer`) when the service is
-configured with workers, and batched queries share one outcome scan via
-:class:`~repro.runtime.batch.QueryBatch`.  With ``factorize=True`` the
-service additionally caches at the *component* level: the chased space of
-each independent block (see :mod:`repro.gdatalog.factorize`) is
-content-addressed by (program, component facts, grounder, config), so
+Each cached engine builds and keeps its own exact space
+(:meth:`~repro.gdatalog.engine.GDatalogEngine.output_space`), through the
+parallel explorer when the service is configured with workers, and batched
+queries share one outcome scan via :class:`~repro.runtime.batch.QueryBatch`.
+With ``factorize=True`` the service additionally caches at the *component*
+level: the engines it builds share one :class:`ComponentCache`, in which the
+chased space of each independent block (see :mod:`repro.gdatalog.factorize`)
+is content-addressed by (program, component facts, grounder, config), so
 requests that share blocks — e.g. overlapping sensor groups, or the same
 sub-network queried under different evidence — never re-chase them.  With
 ``slice=True`` (or a per-request override) exact batches chase only the
-query-relevant slice of the program (:mod:`repro.gdatalog.relevance`),
-cached under slice-aware keys so different queries cutting the program to
-the same slice share one chased space.  All cache access runs under a
-lock, so a threaded wrapper around the service is safe.  The ``gdatalog
-serve`` CLI subcommand wraps this class in a JSON-lines request loop.
+query-relevant slice of the program (:mod:`repro.gdatalog.relevance`): the
+base engine's sliced engine is cached under a slice-aware key, so different
+queries cutting the program to the same slice share one engine.  The LRU
+bookkeeping runs under a lock, and parsing, building and chasing outside it,
+so a threaded wrapper around the service is safe and a cold request never
+blocks hits on other entries.  The ``gdatalog serve`` CLI subcommand wraps
+this class in a JSON-lines request loop.
 
 Usage::
 
@@ -47,14 +50,9 @@ from repro.exceptions import ValidationError
 from repro.gdatalog.chase import ChaseConfig
 from repro.gdatalog.checker import ProgramAnalysis, check_source
 from repro.gdatalog.engine import GDatalogEngine
-from repro.gdatalog.factorize import (
-    ComponentSpace,
-    ProductSpace,
-    explore_component_spaces,
-)
+from repro.gdatalog.factorize import ComponentSpace
 from repro.gdatalog.incremental import UpdateReport, maintain_engine
-from repro.gdatalog.probability_space import AbstractSpace, OutputSpace
-from repro.gdatalog.relevance import atoms_for_queries, compute_slice
+from repro.gdatalog.probability_space import AbstractSpace
 from repro.logic.atoms import Atom
 from repro.logic.database import Database
 from repro.logic.deltas import DbDelta
@@ -62,14 +60,13 @@ from repro.logic.parser import parse_database, parse_gdatalog_program
 from repro.ppdl.queries import Query, query_from_spec
 from repro.runtime.adaptive import AdaptiveEstimate, AdaptiveSampler
 from repro.runtime.batch import QueryBatch
-from repro.runtime.pool import ParallelChaseExplorer
 
 __all__ = ["ServiceStats", "InferenceService", "UpdateResult"]
 
 
-def _canonical_layout(database: Database) -> tuple[list[Atom], str]:
+def _canonical_layout(database: Database) -> tuple[tuple[Atom, ...], str]:
     """The facts of *database* in canonical order and their text (what cache keys hash)."""
-    facts = sorted(database.facts, key=Atom.sort_key)
+    facts = database.canonical_facts
     return facts, "\n".join(f"{fact}." for fact in facts)
 
 
@@ -160,15 +157,42 @@ class UpdateResult:
     report: UpdateReport
 
 
-@dataclass
-class _CacheEntry:
-    engine: GDatalogEngine
-    space: AbstractSpace | None = field(default=None)
-    #: Per-entry chase guard: the (possibly long) chase of one entry runs
-    #: outside the service's global lock so cache hits on other entries
-    #: never block behind it, while two threads racing on the *same* entry
-    #: still chase it only once.
-    lock: threading.Lock = field(default_factory=threading.Lock)
+class ComponentCache:
+    """The chased components of one service's engines, an LRU by content address.
+
+    The engines an :class:`InferenceService` builds hand it to
+    :func:`~repro.gdatalog.factorize.factorized_space`, so two requests
+    whose decompositions share an independent block chase it once, even
+    when the rest of their databases differ.
+    """
+
+    def __init__(self, limit: int, stats: ServiceStats):
+        self._limit = limit
+        self._stats = stats
+        self._spaces: OrderedDict[str, ComponentSpace] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> ComponentSpace | None:
+        """The component cached under *key*, counted as a hit, or ``None`` (a miss)."""
+        with self._lock:
+            part = self._spaces.get(key)
+            if part is None:
+                self._stats.bump("component_misses")
+            else:
+                self._stats.bump("component_hits")
+                self._spaces.move_to_end(key)
+            return part
+
+    def put(self, key: str, part: ComponentSpace) -> None:
+        """Cache a chased component and evict the LRU overflow."""
+        with self._lock:
+            self._spaces[key] = part
+            if len(self._spaces) > self._limit:
+                self._spaces.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._spaces.clear()
 
 
 class InferenceService:
@@ -206,7 +230,7 @@ class InferenceService:
         # runs under this lock so threaded callers (e.g. a threaded wrapper
         # around ``serve``) cannot corrupt eviction order or double-insert.
         self._lock = threading.RLock()
-        self._entries: OrderedDict[str, _CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[str, GDatalogEngine] = OrderedDict()
         # First-level map from raw request text to the canonical key, so
         # repeated identical requests skip the parse+sort canonicalization
         # entirely on the hot path.  Bounded: cleared wholesale on overflow.
@@ -215,8 +239,7 @@ class InferenceService:
         # Factorized inference caches *components*, not whole spaces: the
         # chased space of one independent block is reusable by any request
         # whose decomposition contains an identical block.
-        self._component_spaces: OrderedDict[str, ComponentSpace] = OrderedDict()
-        self._component_limit = max(self.cache_size * 8, 64)
+        self._components = ComponentCache(max(self.cache_size * 8, 64), self.stats)
         # Source-level check results, keyed on the raw request text.  Failed
         # analyses are cached too, so a client hammering one bad program
         # pays for the checker exactly once.
@@ -305,154 +328,58 @@ class InferenceService:
     def engine(self, program_source: str, database_source: str = "") -> GDatalogEngine:
         """The cached engine for a request (built and inserted on miss)."""
         analysis = self._validated(program_source, database_source)
-        return self._lookup(program_source, database_source, analysis)[1].engine
+        return self._lookup(program_source, database_source, analysis)[1]
 
     def space(self, program_source: str, database_source: str = "") -> AbstractSpace:
-        """The cached exact output space (chased on first use, parallel if configured).
+        """The request's exact output space (:meth:`GDatalogEngine.output_space`).
 
-        When the service factorizes, the space is assembled from the
-        component cache: only components not yet chased (under the same
-        program, grounder and chase configuration) pay for a chase.
+        The engine builds it once, in parallel when the service has
+        workers; when the service factorizes, only components not yet in
+        the service's component cache pay for a chase.
         """
-        analysis = self._validated(program_source, database_source)
-        _, entry = self._lookup(program_source, database_source, analysis)
-        return self._space_for(entry)
+        return self.engine(program_source, database_source).output_space(workers=self.workers)
 
-    def _space_for(self, entry: _CacheEntry) -> AbstractSpace:
-        """Chase (or reuse) one cache entry's exact space.
-
-        Runs under the *entry's* lock, not the global one: an exponential
-        chase must not serialize unrelated cache-hit requests.  The global
-        lock is only re-taken inside :meth:`_factorized_space` for the
-        component-cache bookkeeping.
-        """
-        with entry.lock:
-            if entry.space is None:
-                if self.chase_config.factorize:
-                    entry.space = self._factorized_space(entry.engine)
-                if entry.space is None:
-                    # Flat path (also the factorization fallback — built
-                    # directly so the engine does not re-run the
-                    # decomposition analysis).
-                    if self.workers is not None and self.workers > 1:
-                        explorer = ParallelChaseExplorer(
-                            entry.engine.grounder, self.chase_config, workers=self.workers
-                        )
-                        entry.space = explorer.output_space()
-                    else:
-                        result = entry.engine.chase_result
-                        entry.space = OutputSpace(
-                            result.outcomes, error_probability=result.error_probability
-                        )
-            return entry.space
-
-    def _sliced_entry(
+    def _sliced(
         self,
         program_source: str,
         database_source: str,
         queries,
         analysis: ProgramAnalysis | None,
-    ) -> _CacheEntry:
-        """The cache entry of the batch's query-relevant slice (global lock held).
+    ) -> GDatalogEngine:
+        """The engine of the batch's query-relevant slice, or the base engine.
 
-        The sliced entry is keyed on the base request key plus the slice's
-        **relevant predicate set** — not the query atoms — so different
-        queries that cut the program down to the same slice share one
-        chased space.  Falls back to the full entry when the batch cannot
-        be sliced or slicing cuts nothing.  Only the bookkeeping happens
-        here; the chase itself runs later under the entry's own lock.
+        The base engine decides (:meth:`GDatalogEngine.relevant_slice`) and
+        builds the sliced engine, which is cached on the base request key
+        plus the slice's **relevant predicate set** — not the query atoms —
+        so different queries that cut the program down to the same slice
+        share one engine.  As in :meth:`_lookup`, the global lock guards
+        only the bookkeeping, and a slice miss is counted when its engine
+        is inserted.
         """
-        base_key, base_entry = self._lookup(program_source, database_source, analysis)
-        seeds = atoms_for_queries(queries)
-        if seeds is None:
-            return base_entry
-        slice_ = compute_slice(
-            base_entry.engine.program,
-            base_entry.engine.database,
-            seeds,
-            permanent=base_entry.engine.analysis.permanent_seeds,
-        )
-        if slice_.is_full:
-            return base_entry
+        base_key, base = self._lookup(program_source, database_source, analysis)
+        slice_ = base.relevant_slice(queries)
+        if slice_ is None:
+            return base
         digest = hashlib.sha256()
         digest.update(base_key.encode("utf-8"))
         digest.update(b"\x00slice\x00")
         digest.update("\n".join(sorted(str(p) for p in slice_.predicates)).encode("utf-8"))
-        sliced_key = digest.hexdigest()
-        entry = self._entries.get(sliced_key)
-        if entry is not None:
-            self.stats.bump("slice_hits")
-            self._entries.move_to_end(sliced_key)
-        else:
-            self.stats.bump("slice_misses")
-            engine = GDatalogEngine(
-                slice_.program,
-                slice_.database,
-                grounder=self.grounder,
-                chase_config=self.chase_config,
-            )
-            engine.query_slice = slice_
-            entry = _CacheEntry(engine=engine)
-            self._insert(sliced_key, entry)
-        return entry
-
-    def _factorized_space(self, engine: GDatalogEngine) -> ProductSpace | None:
-        """Assemble the product space from cached components (``None`` → fall back).
-
-        Component-cache get/put runs under the global lock; the component
-        chases themselves do not (two threads may rarely chase the same
-        component concurrently — duplicated work, but both write identical
-        content-addressed entries).
-        """
-        decomposition = engine.analysis.decomposition(
-            engine.translated, engine.database, self.chase_config
-        )
-        if decomposition is None:
-            return None
-        program_digest = engine.analysis.program_digest
-        parts: list[ComponentSpace | None] = []
-        missing: list[tuple[int, str]] = []
+        key = digest.hexdigest()
         with self._lock:
-            for component in decomposition.components:
-                key = self._component_key(program_digest, component)
-                cached = self._component_spaces.get(key)
-                if cached is not None:
-                    self.stats.bump("component_hits")
-                    self._component_spaces.move_to_end(key)
-                    parts.append(cached)
-                else:
-                    self.stats.bump("component_misses")
-                    missing.append((len(parts), key))
-                    parts.append(None)
-        if missing:
-            chased = explore_component_spaces(
-                engine.grounder,
-                [decomposition.components[index] for index, _ in missing],
-                self.chase_config,
-                workers=self.workers,
-            )
+            engine = self._hit(key, "slice_hits")
+        if engine is None:
+            built = base.slice_engine(slice_)
             with self._lock:
-                for (index, key), part in zip(missing, chased):
-                    parts[index] = part
-                    self._component_spaces[key] = part
-                    if len(self._component_spaces) > self._component_limit:
-                        self._component_spaces.popitem(last=False)
-        return ProductSpace(parts, engine.translated)
-
-    def _component_key(self, program_digest: str, component) -> str:
-        digest = hashlib.sha256()
-        digest.update(program_digest.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update("\n".join(str(fact) for fact in component.facts).encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(self.grounder.encode("utf-8"))
-        digest.update(repr(self.chase_config).encode("utf-8"))
-        return digest.hexdigest()
+                engine = self._hit(key, "slice_hits")
+                if engine is None:
+                    self.stats.bump("slice_misses")
+                    engine = self._insert(key, built)
+        return engine
 
     def _lookup(
         self, program_source: str, database_source: str, analysis: ProgramAnalysis | None
-    ) -> tuple[str, _CacheEntry]:
-        """``(key, entry)`` for a raw request, inserting on miss.
+    ) -> tuple[str, GDatalogEngine]:
+        """``(key, engine)`` for a raw request, inserting on miss.
 
         The global lock guards only the bookkeeping: a miss parses the
         sources (once), keys them and builds the engine outside it, so a
@@ -465,8 +392,8 @@ class InferenceService:
         raw = (program_source, database_source)
         with self._lock:
             key = self._raw_keys.get(raw)
-            entry = self._hit(key)
-        if entry is None:
+            engine = self._hit(key)
+        if engine is None:
             if analysis is not None:
                 program, database = analysis.program, analysis.database or Database()
             else:
@@ -475,25 +402,33 @@ class InferenceService:
                 key = self._canonical_key(program, _canonical_layout(database)[1])
                 with self._lock:
                     self._remember_raw_key(raw, key)
-                    entry = self._hit(key)
-        if entry is None:
-            engine = GDatalogEngine(
-                program, database, self.grounder, self.chase_config, analysis=analysis
+                    engine = self._hit(key)
+        if engine is None:
+            built = GDatalogEngine(
+                program,
+                database,
+                self.grounder,
+                self.chase_config,
+                analysis=analysis,
+                component_cache=self._components,
             )
             with self._lock:
-                entry = self._hit(key)
-                if entry is None:
+                engine = self._hit(key)
+                if engine is None:
                     self.stats.bump("misses")
-                    entry = self._insert(key, _CacheEntry(engine=engine))
-        return key, entry
+                    engine = self._insert(key, built)
+        return key, engine
 
-    def _hit(self, key: str | None) -> _CacheEntry | None:
-        """The entry cached under *key*, counted as a hit, or ``None``.  Caller holds the lock."""
-        entry = self._entries.get(key) if key is not None else None
-        if entry is not None:
-            self.stats.bump("hits")
+    def _hit(self, key: str | None, counter: str = "hits") -> GDatalogEngine | None:
+        """The engine cached under *key*, counted as *counter*, or ``None``.
+
+        Caller holds the lock.
+        """
+        engine = self._entries.get(key) if key is not None else None
+        if engine is not None:
+            self.stats.bump(counter)
             self._entries.move_to_end(key)
-        return entry
+        return engine
 
     def _remember_raw_key(self, raw: tuple[str, str], key: str) -> None:
         """Map raw request text to its canonical key.  Caller holds the lock."""
@@ -501,25 +436,25 @@ class InferenceService:
             self._raw_keys.clear()
         self._raw_keys[raw] = key
 
-    def _insert(self, key: str, entry: _CacheEntry) -> _CacheEntry:
-        """Insert one entry and evict the LRU overflow.  Caller holds the lock."""
-        self._entries[key] = entry
+    def _insert(self, key: str, engine: GDatalogEngine) -> GDatalogEngine:
+        """Insert one engine and evict the LRU overflow.  Caller holds the lock."""
+        self._entries[key] = engine
         if len(self._entries) > self.cache_size:
             self._entries.popitem(last=False)
             self.stats.bump("evictions")
-        return entry
+        return engine
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every cached engine/space/component (counters are kept)."""
+        """Drop every cached engine/component/analysis (counters are kept)."""
         with self._lock:
             self._entries.clear()
             self._raw_keys.clear()
-            self._component_spaces.clear()
             self._analyses.clear()
+        self._components.clear()
 
     # -- streaming updates -------------------------------------------------------------
 
@@ -531,15 +466,14 @@ class InferenceService:
     ) -> UpdateResult:
         """Apply a fact delta to the cached (program, database) entry.
 
-        The base entry's engine (and its chased space, when present) is
-        delta-maintained via :func:`~repro.gdatalog.incremental.maintain_engine`
-        and the result is cached under the **canonical post-delta key** —
-        exactly the key :meth:`cache_key` computes for the returned
+        The base engine (and its space, when built) is delta-maintained via
+        :func:`~repro.gdatalog.incremental.maintain_engine` and the new
+        engine is cached under the **canonical post-delta key** — exactly
+        the key :meth:`cache_key` computes for the returned
         ``database_source``, so an updated entry and a fresh request for
         the same database never occupy two slots.  The pre-delta entry is
-        kept (its caches stay valid for the old state) and ages out of the
-        LRU naturally.  Maintenance runs under the base entry's lock so a
-        concurrent chase of the same entry is reused, not raced.
+        kept (its space stays valid for the old state) and ages out of the
+        LRU naturally.
 
         With validation on, the post-delta analysis is derived from the
         base analysis (:meth:`~repro.gdatalog.checker.ProgramAnalysis.with_database`)
@@ -550,11 +484,8 @@ class InferenceService:
         if not isinstance(delta, DbDelta):
             delta = DbDelta.from_spec(delta)
         analysis = self._validated(program_source, database_source)
-        _, base_entry = self._lookup(program_source, database_source, analysis)
-        with base_entry.lock:
-            new_engine, new_space, report = maintain_engine(
-                base_entry.engine, delta, base_entry.space
-            )
+        _, base = self._lookup(program_source, database_source, analysis)
+        new_engine, _, report = maintain_engine(base, delta)
         facts, new_source = _canonical_layout(new_engine.database)
         if analysis is not None:
             raw = (program_source, new_source)
@@ -566,25 +497,17 @@ class InferenceService:
                 )
         new_key = self._canonical_key(new_engine.program, new_source)
         with self._lock:
-            entry = self._entries.get(new_key)
-            if entry is None:
-                entry = _CacheEntry(engine=new_engine, space=new_space)
-                self._insert(new_key, entry)
-            else:
+            if new_key in self._entries:
                 # The post-delta state was already cached (e.g. queried
                 # directly before, or a no-op delta): keep the existing
-                # entry — it may hold more chase work than ours.
+                # engine — it may hold more chase work than ours.
                 self._entries.move_to_end(new_key)
+            else:
+                self._insert(new_key, new_engine)
             self._remember_raw_key((program_source, new_source), new_key)
             self.stats.bump("updates_applied")
             self.stats.bump("subtrees_invalidated", report.invalidated_subtrees)
             self.stats.bump("subtrees_reused", report.reused_subtrees)
-        if entry.space is None and new_space is not None:
-            # Outside the global lock: entry locks are taken before the
-            # global lock elsewhere (chase paths), never after.
-            with entry.lock:
-                if entry.space is None:
-                    entry.space = new_space
         return UpdateResult(key=new_key, database_source=new_source, report=report)
 
     def replay(
@@ -635,20 +558,18 @@ class InferenceService:
         """Exact batched evaluation; *queries* are specs (see ``query_from_spec``).
 
         *slice* overrides the service-level default: with slicing on, the
-        chase is restricted to the batch's query-relevant slice and the
-        sliced space is cached under a slice-aware key (see
-        :meth:`_sliced_space`).
+        chase is restricted to the batch's query-relevant slice, whose
+        engine is cached under a slice-aware key (see :meth:`_sliced`).
         """
         use_slice = self.slice if slice is None else bool(slice)
         resolved = [query_from_spec(spec) for spec in queries]
         batch = QueryBatch(resolved)
         analysis = self._validated(program_source, database_source)
         if use_slice:
-            with self._lock:
-                entry = self._sliced_entry(program_source, database_source, resolved, analysis)
+            engine = self._sliced(program_source, database_source, resolved, analysis)
         else:
-            _, entry = self._lookup(program_source, database_source, analysis)
-        return batch.evaluate(self._space_for(entry))
+            engine = self._lookup(program_source, database_source, analysis)[1]
+        return batch.evaluate(engine.output_space(workers=self.workers))
 
     def estimate(
         self,

@@ -132,8 +132,8 @@ class TestEngineAttachment:
         with_analysis = GDatalogEngine(program, database, analysis=analysis)
         without = GDatalogEngine(program, database)
         assert with_analysis.evaluate_queries(specs) == without.evaluate_queries(specs)
-        assert with_analysis.evaluate_queries(specs, slice=True) == (
-            without.evaluate_queries(specs, slice=True)
+        assert with_analysis.sliced(specs).evaluate_queries(specs) == (
+            without.sliced(specs).evaluate_queries(specs)
         )
 
     def test_factorized_engine_reuses_the_analysis_partition(self):

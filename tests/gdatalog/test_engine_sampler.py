@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.exceptions import ValidationError
@@ -85,6 +87,54 @@ class TestEngineQueries:
     def test_chase_result_cached(self, resilience_engine):
         assert resilience_engine.chase_result is resilience_engine.chase_result
 
+    def test_two_threads_asking_a_cold_engine_for_its_space_chase_it_once(self, monkeypatch):
+        from repro.gdatalog.chase import ChaseEngine
+
+        engine = GDatalogEngine.from_source(RESILIENCE_SOURCE, RESILIENCE_DATABASE)
+        runs: list[ChaseEngine] = []
+        chasing, release, contended = threading.Event(), threading.Event(), threading.Event()
+        real_run = ChaseEngine.run
+
+        def stalled_run(self, *args, **kwargs):
+            runs.append(self)
+            chasing.set()
+            release.wait(timeout=30)
+            return real_run(self, *args, **kwargs)
+
+        class ObservedLock:
+            """The engine's lock, reporting when a second thread has to wait for it."""
+
+            def __init__(self, lock):
+                self._lock = lock
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    contended.set()
+                    self._lock.acquire()
+
+            def __exit__(self, *exc_info):
+                self._lock.release()
+
+        monkeypatch.setattr(ChaseEngine, "run", stalled_run)
+        engine._lock = ObservedLock(engine._lock)
+        spaces: list = []
+        threads = [
+            threading.Thread(target=lambda: spaces.append(engine.output_space())) for _ in range(2)
+        ]
+        threads[0].start()
+        try:
+            assert chasing.wait(timeout=10)
+            threads[1].start()
+            assert contended.wait(timeout=10)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(runs) == 1
+        assert len(spaces) == 2 and spaces[0] is spaces[1]
+        assert engine.output_space(workers=2) is spaces[0]
+
     def test_constraint_modes_agree(self):
         native = GDatalogEngine.from_source(RESILIENCE_SOURCE, RESILIENCE_DATABASE, constraint_mode="native")
         desugared = GDatalogEngine.from_source(
@@ -142,7 +192,6 @@ class TestProfile:
     def test_profile_summary_reports_the_chase_and_join_engine(self, resilience_engine):
         summary = resilience_engine.profile_summary()
         assert "mode:                     incremental" in summary
-        assert "join probes/scans:" in summary
         assert "-- join engine (process-wide) --" in summary
         assert "arg indexes built:" in summary
 

@@ -159,10 +159,10 @@ class TestProductSpace:
         assert "factorized" in summary
         assert "independent components:   12" in summary
         # The flat 2^12-outcome chase must not have been triggered.
-        assert "chase_result" not in engine.__dict__
+        assert engine._chase_result is None
 
     def test_possible_outcomes_enumerates_the_product(self):
         engine = coins_engine(3)
         outcomes = engine.possible_outcomes()
         assert len(outcomes) == 8
-        assert "chase_result" not in engine.__dict__
+        assert engine._chase_result is None

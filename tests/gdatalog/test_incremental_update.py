@@ -218,9 +218,9 @@ class TestMaintainEngine:
         database = wide_database(columns)
         config = ChaseConfig(factorize=True)
         engine = GDatalogEngine(program, database, chase_config=config)
-        old_space = engine.output_space()
+        engine.output_space()
         delta = DbDelta.of(inserts=["src2(2)"])
-        new_engine, new_space, report = maintain_engine(engine, delta, old_space)
+        new_engine, new_space, report = maintain_engine(engine, delta)
         assert report.mode == "component"
         # The flips are keyed per (column, row), so the new row is its own
         # component: every previously-chased component is kept verbatim.
@@ -238,7 +238,8 @@ class TestMaintainEngine:
         config = ChaseConfig(factorize=True)
         engine = GDatalogEngine(program, database, chase_config=config)
         delta = DbDelta.of(retracts=["src3(2)"])
-        new_engine, _, report = maintain_engine(engine, delta, engine.output_space())
+        engine.output_space()
+        new_engine, _, report = maintain_engine(engine, delta)
         assert report.mode == "component"
         fresh = GDatalogEngine(program, delta.apply(database), chase_config=config)
         assert new_engine.marginal("hit3_1(2)") == fresh.marginal("hit3_1(2)") == 0.0

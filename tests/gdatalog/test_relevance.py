@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gdatalog.chase import ChaseConfig
 from repro.gdatalog.engine import GDatalogEngine
 from repro.gdatalog.relevance import (
     atoms_for_queries,
@@ -122,8 +121,10 @@ class TestEngineWiring:
         sliced = engine.sliced(["hit_a(1)"])
         assert sliced is not engine
         assert sliced.marginal("hit_a(1)") == engine.marginal("hit_a(1)")
-        assert engine.marginal("hit_a(1)", slice=True) == engine.marginal("hit_a(1)")
-        assert engine.probability_has_stable_model(slice=True) == (
+        assert engine.sliced([AtomQuery.of("hit_a(1)", "brave")]).marginal("hit_a(1)") == (
+            engine.marginal("hit_a(1)")
+        )
+        assert engine.sliced([HasStableModelQuery()]).probability_has_stable_model() == (
             engine.probability_has_stable_model()
         )
 
@@ -138,24 +139,23 @@ class TestEngineWiring:
         # ...and a generic query always falls back to self too.
         assert engine.sliced([EventQuery(lambda o: True)]) is engine
 
-    def test_chase_config_entry_point(self):
+    def test_one_atom_slice_matches_a_fresh_engine(self):
         program, database = _parsed()
-        engine = GDatalogEngine(
-            program, database, chase_config=ChaseConfig(slice_for_query=("hit_b(2)",))
-        )
+        engine = GDatalogEngine(program, database).sliced(["hit_b(2)"])
         assert engine.query_slice is not None and not engine.query_slice.is_full
         reference = GDatalogEngine(program, database)
         assert engine.marginal("hit_b(2)") == reference.marginal("hit_b(2)")
 
     def test_evaluate_queries_union_slice(self, engine):
         queries = ["hit_a(1)", "hit_a(2)", {"type": "has_stable_model"}]
-        assert engine.evaluate_queries(queries, slice=True) == engine.evaluate_queries(queries)
+        assert engine.sliced(queries).evaluate_queries(queries) == engine.evaluate_queries(queries)
 
     def test_sliced_sampler_estimates(self, engine):
-        sliced = engine.estimate_marginal("hit_a(1)", n=400, seed=3, slice=True)
+        sliced = engine.sliced(["hit_a(1)"]).estimate_marginal("hit_a(1)", n=400, seed=3)
         assert sliced.samples == 400
         assert abs(sliced.value - 0.5) < 0.15
-        estimate = engine.estimate_has_stable_model(n=50, seed=3, slice=True)
+        core = engine.sliced([HasStableModelQuery()])
+        estimate = core.estimate_has_stable_model(n=50, seed=3)
         assert estimate.value == 1.0
 
     def test_sliced_engine_keeps_the_grounder_family(self):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.gdatalog.chase import ChaseConfig
 from repro.gdatalog.engine import GDatalogEngine
+from repro.ppdl.queries import AtomQuery
 from repro.workloads import (
     random_database,
     random_positive_program,
@@ -45,7 +46,7 @@ def test_sliced_matches_unsliced_on_stratified_programs(seed):
     database = random_database(seed=seed)
     engine = GDatalogEngine(program, database)
     specs = _query_specs(program)
-    assert engine.evaluate_queries(specs, slice=True) == engine.evaluate_queries(specs)
+    assert engine.sliced(specs).evaluate_queries(specs) == engine.evaluate_queries(specs)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -55,14 +56,13 @@ def test_sliced_marginals_match_per_query(seed):
     engine = GDatalogEngine(program, database)
     for spec in _query_specs(program):
         if isinstance(spec, dict):
-            assert engine.probability_has_stable_model(slice=True) == (
+            assert engine.sliced([spec]).probability_has_stable_model() == (
                 engine.probability_has_stable_model()
             )
         else:
             for mode in ("brave", "cautious"):
-                assert engine.marginal(spec, mode=mode, slice=True) == (
-                    engine.marginal(spec, mode=mode)
-                )
+                sliced = engine.sliced([AtomQuery.of(spec, mode)])
+                assert sliced.marginal(spec, mode=mode) == engine.marginal(spec, mode=mode)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -71,7 +71,7 @@ def test_sliced_matches_unsliced_on_positive_programs(seed):
     database = random_database(seed=seed)
     engine = GDatalogEngine(program, database)
     specs = _query_specs(program)
-    assert engine.evaluate_queries(specs, slice=True) == engine.evaluate_queries(specs)
+    assert engine.sliced(specs).evaluate_queries(specs) == engine.evaluate_queries(specs)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -81,7 +81,7 @@ def test_sliced_composes_with_factorization(seed):
     flat = GDatalogEngine(program, database)
     factorized = GDatalogEngine(program, database, chase_config=ChaseConfig(factorize=True))
     specs = _query_specs(program)
-    assert factorized.evaluate_queries(specs, slice=True) == flat.evaluate_queries(specs)
+    assert factorized.sliced(specs).evaluate_queries(specs) == flat.evaluate_queries(specs)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -90,7 +90,7 @@ def test_sliced_matches_under_the_perfect_grounder(seed):
     database = random_database(seed=seed)
     engine = GDatalogEngine(program, database, grounder="perfect")
     specs = _query_specs(program)
-    assert engine.evaluate_queries(specs, slice=True) == engine.evaluate_queries(specs)
+    assert engine.sliced(specs).evaluate_queries(specs) == engine.evaluate_queries(specs)
 
 
 def test_wide_program_slices_compose_with_factorization():
@@ -101,7 +101,7 @@ def test_wide_program_slices_compose_with_factorization():
     flat = GDatalogEngine(program, database)
     factorized = GDatalogEngine(program, database, chase_config=ChaseConfig(factorize=True))
     queries = wide_query_atoms(3, depth=2, rows=2) + [{"type": "has_stable_model"}]
-    assert factorized.evaluate_queries(queries, slice=True) == flat.evaluate_queries(queries)
+    assert factorized.sliced(queries).evaluate_queries(queries) == flat.evaluate_queries(queries)
 
 
 def test_unreachable_query_answers_without_chasing():

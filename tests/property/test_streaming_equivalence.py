@@ -128,5 +128,5 @@ def test_maintained_engines_compose_with_slicing(seed, stream):
         engine = engine.updated(delta)
         database = delta.apply(database)
     fresh = GDatalogEngine(program, database)
-    assert engine.evaluate_queries(specs, slice=True) == fresh.evaluate_queries(specs)
-    assert engine.evaluate_queries(specs, slice=True) == engine.evaluate_queries(specs)
+    assert engine.sliced(specs).evaluate_queries(specs) == fresh.evaluate_queries(specs)
+    assert engine.sliced(specs).evaluate_queries(specs) == engine.evaluate_queries(specs)

@@ -3,7 +3,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -53,6 +55,26 @@ class TestFactorizedService:
         service.clear()
         service.space(INDEPENDENT_COINS_PROGRAM_SOURCE, COINS_DB)
         assert service.stats.component_misses == 8
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_updates_do_not_keep_old_databases_alive(self, validate):
+        """Engines memoise their own spaces, so the decomposition memo keeps
+        only the latest database: after a long factorized stream, an evicted
+        state is garbage."""
+        service = InferenceService(cache_size=4, factorize=True, validate=validate)
+        program, source = INDEPENDENT_COINS_PROGRAM_SOURCE, COINS_DB
+        service.evaluate(program, source, ["heads(1)"])
+        first = None
+        for step in range(200):
+            delta = {"insert": [f"coin_id({step + 5})"], "retract": [f"coin_id({step + 1})"]}
+            result = service.update(program, source, delta)
+            assert result.report.mode == "component"
+            source = result.database_source
+            if first is None:
+                first = weakref.ref(service.engine(program, source).database)
+        assert service.evaluate(program, source, ["heads(204)"]) == [0.5]
+        gc.collect()
+        assert first is not None and first() is None
 
 
 class TestFactorizedCLI:

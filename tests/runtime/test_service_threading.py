@@ -124,12 +124,14 @@ class TestThreadSafety:
             cold.join(timeout=30)
         assert not cold.is_alive()
 
-    def test_a_cold_parse_does_not_block_hits_on_other_entries(self, monkeypatch):
+    @pytest.mark.parametrize("slice", [False, True])
+    def test_a_cold_parse_does_not_block_hits_on_other_entries(self, monkeypatch, slice):
         """Without validation the service parses, keys and builds outside the
-        global lock: while one request's parse is stalled, a hit answers."""
+        global lock — sliced requests too: while one request's parse is
+        stalled, a hit answers."""
         from repro.runtime import service as service_module
 
-        service = InferenceService()
+        service = InferenceService(slice=slice)
         cached = (_program(1), _database(1))
         assert service.evaluate(*cached, ["hit1(1)"]) == [0.5]
 
@@ -163,6 +165,48 @@ class TestThreadSafety:
             cold.join(timeout=30)
         assert not cold.is_alive()
         assert (service.stats.misses, service.stats.hits) == (2, 1)
+
+    def test_a_stalled_chase_does_not_block_a_cold_request_on_another_program(
+        self, monkeypatch
+    ):
+        """Every engine guards its space with its own lock: while one
+        program's chase is stalled, a cold request on another program chases
+        and answers."""
+        from repro.gdatalog.chase import ChaseEngine
+        from repro.logic.atoms import Predicate
+
+        service = InferenceService()
+        entered, release = threading.Event(), threading.Event()
+        real_run = ChaseEngine.run
+
+        def stalled_run(self, *args, **kwargs):
+            if Predicate("src1", 1) in self.grounder.database.schema:
+                entered.set()
+                release.wait(timeout=30)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChaseEngine, "run", stalled_run)
+        stalled = threading.Thread(
+            target=service.evaluate, args=(_program(1), _database(1), ["hit1(1)"]), daemon=True
+        )
+        answers: list[list[float]] = []
+        answered = threading.Event()
+
+        def cold() -> None:
+            other = COLUMN_TEMPLATE.format(c=2)
+            answers.append(service.evaluate(other, "src2(1).", ["hit2(1)"]))
+            answered.set()
+
+        stalled.start()
+        try:
+            assert entered.wait(timeout=10)
+            threading.Thread(target=cold, daemon=True).start()
+            assert answered.wait(timeout=1), "a cold chase waited for another engine's chase"
+            assert answers == [[0.5]]
+        finally:
+            release.set()
+            stalled.join(timeout=30)
+        assert not stalled.is_alive()
 
     def test_racing_cold_builds_share_the_first_inserted_entry(self, monkeypatch):
         """Cold lookups build outside the lock: every thread below builds the

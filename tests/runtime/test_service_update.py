@@ -148,6 +148,31 @@ class TestPostDeltaAnalysis:
         assert checks == [] and derived == []
 
 
+class TestCanonicalOrder:
+    def test_a_cold_evaluate_and_its_update_sort_each_database_once(self, monkeypatch):
+        """The cache key and the grounder read one canonical order per database."""
+        from repro.logic.atoms import Atom
+
+        facts = 300
+        database = "src(1). " + " ".join(f"aux({i})." for i in range(1, facts))
+        calls = 0
+        real_sort_key = Atom.sort_key
+
+        def counted_sort_key(self):
+            nonlocal calls
+            calls += 1
+            return real_sort_key(self)
+
+        monkeypatch.setattr(Atom, "sort_key", counted_sort_key)
+        service = InferenceService()
+        assert service.evaluate(PROGRAM, database, QUERIES) == [1.0, 0.0, 0.5]
+        assert calls / facts < 1.5
+        calls = 0
+        result = service.update(PROGRAM, database, {"insert": [f"aux({facts})"]})
+        assert result.report.mode == "patch"
+        assert calls / (facts + 1) < 1.5
+
+
 class TestUpdateCounters:
     def test_counters_follow_the_reports(self):
         service = InferenceService()
