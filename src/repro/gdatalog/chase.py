@@ -21,22 +21,31 @@ rule (semi-naive delta propagation) instead of re-running the grounding
 fixpoint from scratch.  Set :attr:`ChaseConfig.incremental` to ``False`` to
 fall back to per-node from-scratch grounding (the reference behaviour used
 by the equivalence tests and the E9 benchmark baseline).
+
+An exhaustive chase from the root under a deterministic trigger strategy
+also keeps a :class:`ChaseRecord` of the tree it walked: each expanded
+node's trigger and children, each leaf's outcome and each cut.  The
+Monte-Carlo sampler follows one path of that same tree, so
+:meth:`ChaseEngine.sample_path` descends the record instead of grounding
+every node of the path again.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
+from repro.distributions.base import Outcome
 from repro.exceptions import ChaseLimitError, InferenceError
 from repro.rng import seeded_random
-from repro.gdatalog.atr import GroundAtRRule
+from repro.gdatalog.atr import AtRSpec, GroundAtRRule, outcome_to_constant
 from repro.gdatalog.grounders import Grounder, GroundingState
 from repro.gdatalog.outcomes import PossibleOutcome
 from repro.logic.atoms import Atom
 from repro.logic.rules import Rule
+from repro.logic.terms import Constant
 
 __all__ = [
     "TriggerStrategy",
@@ -44,6 +53,7 @@ __all__ = [
     "ChaseNode",
     "ChaseStats",
     "ChaseResult",
+    "ChaseRecord",
     "ChaseEngine",
 ]
 
@@ -150,6 +160,50 @@ class ChaseStats:
         self.full_groundings = grounder.stats.full_groundings
 
 
+class _Cut(Enum):
+    """A place where the exhaustive chase cut its tree."""
+
+    DEPTH = "depth"  # a node with triggers at ``max_depth``
+    OUTCOMES = "outcomes"  # a leaf past ``max_outcomes``, whose outcome was not kept
+
+
+class _Branch:
+    """An expanded node of a :class:`ChaseRecord`: its trigger and its children."""
+
+    __slots__ = ("trigger", "children")
+
+    def __init__(self, trigger: Atom):
+        self.trigger = trigger
+        #: The record of each child, keyed by the outcome of its AtR rule.
+        self.children: dict[Constant, _Place] = {}
+
+
+#: The record of one chase node: expanded, a leaf (the number of its outcome
+#: in the order the chase reached the leaves) or cut.
+_Place = Union[_Branch, int, _Cut]
+
+
+@dataclass(frozen=True, eq=False)
+class ChaseRecord:
+    """The tree one exhaustive chase from the root walked, without its groundings.
+
+    Each node is recorded as a :class:`_Branch`, a leaf number or a
+    :class:`_Cut`; leaf number ``i`` is the outcome ``outcomes[ranks[i]]``.
+    The record is valid for ``config`` only, since the limits and the
+    trigger strategy shape the tree.  It is read-only once built, so
+    threads share it without a lock.
+    """
+
+    config: ChaseConfig
+    root: _Place
+    ranks: tuple[int, ...]
+    outcomes: tuple[PossibleOutcome, ...]
+
+    def with_outcomes(self, outcomes: Sequence[PossibleOutcome]) -> "ChaseRecord":
+        """The same tree over *outcomes*, which replace :attr:`outcomes` place by place."""
+        return replace(self, outcomes=tuple(outcomes))
+
+
 @dataclass
 class ChaseResult:
     """The outcome of an exhaustive chase.
@@ -158,7 +212,8 @@ class ChaseResult:
     supports cut at the tolerance, depth-limited paths, outcome-count
     truncation); it upper-bounds the paper's ``P(Ω∞)`` for the configured
     limits and equals it in the limit of unbounded exploration.
-    ``stats`` carries the profiling counters of the run.
+    ``stats`` carries the profiling counters of the run, and ``record`` the
+    tree of a deterministic run from the root (``None`` otherwise).
     """
 
     outcomes: list[PossibleOutcome]
@@ -166,6 +221,7 @@ class ChaseResult:
     truncated_paths: int
     max_depth_reached: int
     stats: ChaseStats | None = None
+    record: ChaseRecord | None = None
 
     @property
     def finite_probability(self) -> float:
@@ -179,14 +235,25 @@ class ChaseResult:
 
 
 class ChaseEngine:
-    """Exhaustive, order-independent chase over a fixed grounder."""
+    """Exhaustive, order-independent chase over a fixed grounder.
 
-    def __init__(self, grounder: Grounder, config: ChaseConfig | None = None):
+    *record* is the :class:`ChaseRecord` of an exhaustive chase over the
+    same grounder's program and database; :meth:`sample_path` descends it
+    when it was built under *config*, and ignores it otherwise.
+    """
+
+    def __init__(
+        self,
+        grounder: Grounder,
+        config: ChaseConfig | None = None,
+        record: ChaseRecord | None = None,
+    ):
         self.grounder = grounder
         self.config = config or ChaseConfig()
         self._registry = grounder.translated.program.registry
         self._rng = seeded_random(self.config.seed)
         self.stats = ChaseStats()
+        self.record = record if record is not None and record.config == self.config else None
 
     # -- public API -------------------------------------------------------------
 
@@ -209,6 +276,13 @@ class ChaseEngine:
         Children are created only for outcomes with positive probability;
         infinite supports are truncated at the configured tolerance.
         """
+        return [
+            self._child(node, atr_rule, probability)
+            for atr_rule, probability in self._branches(node.probability, trigger)
+        ]
+
+    def _branches(self, probability: float, trigger: Atom) -> list[tuple[GroundAtRRule, float]]:
+        """The AtR rule and path probability of each child of a node of *probability*."""
         spec = self.grounder.translated.spec_for_active(trigger.predicate)
         distribution = self._registry.get(spec.distribution)
         params = spec.parameters_of(trigger)
@@ -216,16 +290,13 @@ class ChaseEngine:
             params, mass_tolerance=self.config.mass_tolerance, max_outcomes=self.config.max_support
         )
         self.stats.nodes_expanded += 1
-        children: list[ChaseNode] = []
+        branches: list[tuple[GroundAtRRule, float]] = []
         for outcome in outcomes:
-            probability = distribution.pmf(params, outcome)
-            if probability <= 0.0:
+            factor = distribution.pmf(params, outcome)
+            if factor <= 0.0:
                 continue
-            atr_rule = GroundAtRRule.of(spec, trigger, outcome)
-            children.append(
-                self._child(node, atr_rule, node.probability * probability)
-            )
-        return children
+            branches.append((GroundAtRRule.of(spec, trigger, outcome), probability * factor))
+        return branches
 
     def _child(self, node: ChaseNode, atr_rule: GroundAtRRule, probability: float) -> ChaseNode:
         """Build one child node, extending the parent's grounding state if present."""
@@ -259,7 +330,11 @@ class ChaseEngine:
         *root* defaults to the empty configuration; passing an interior
         chase node restricts the enumeration to its subtree (the parallel
         explorer in :mod:`repro.runtime.pool` farms disjoint subtrees to
-        workers this way and merges the partial results).
+        workers this way and merges the partial results).  A run from the
+        root under ``FIRST`` or ``LAST`` returns the tree it walked as
+        :attr:`ChaseResult.record`.  Under ``RANDOM`` the trigger is a draw
+        of this engine's own RNG, which no sampler may reuse, so nothing is
+        recorded.
         """
         outcomes: list[PossibleOutcome] = []
         error_mass = 0.0
@@ -268,14 +343,21 @@ class ChaseEngine:
         self.stats = ChaseStats()
         self.grounder.stats.reset()
 
-        stack: list[ChaseNode] = [self.root() if root is None else root]
+        recording = root is None and self.config.trigger_strategy is not TriggerStrategy.RANDOM
+        top: dict[None, _Place] = {}
+        # Each entry: a node, and the dict and key its record goes under
+        # (no dict when nothing is recorded).
+        stack: list[tuple[ChaseNode, dict | None, object]] = [
+            (self.root() if root is None else root, top if recording else None, None)
+        ]
         while stack:
-            node = stack.pop()
+            node, slots, key = stack.pop()
             self.stats.nodes_visited += 1
             max_depth_reached = max(max_depth_reached, node.depth)
             triggers = node.triggers(self.grounder)
             if not triggers:
                 self.stats.leaves += 1
+                place: _Place
                 if len(outcomes) >= self.config.max_outcomes:
                     if self.config.strict:
                         raise ChaseLimitError(
@@ -283,15 +365,19 @@ class ChaseEngine:
                         )
                     error_mass += node.probability
                     truncated += 1
-                    continue
-                outcomes.append(
-                    PossibleOutcome(
-                        atr_rules=node.atr_rules,
-                        grounding=node.grounding,
-                        probability=node.probability,
-                        translated=self.grounder.translated,
+                    place = _Cut.OUTCOMES
+                else:
+                    place = len(outcomes)
+                    outcomes.append(
+                        PossibleOutcome(
+                            atr_rules=node.atr_rules,
+                            grounding=node.grounding,
+                            probability=node.probability,
+                            translated=self.grounder.translated,
+                        )
                     )
-                )
+                if slots is not None:
+                    slots[key] = place
                 continue
             if node.depth >= self.config.max_depth:
                 if self.config.strict:
@@ -300,17 +386,35 @@ class ChaseEngine:
                     )
                 error_mass += node.probability
                 truncated += 1
+                if slots is not None:
+                    slots[key] = _Cut.DEPTH
                 continue
             trigger = self.select_trigger(triggers)
-            children = self.expand(node, trigger)
+            branches = self._branches(node.probability, trigger)
+            children = [self._child(node, atr_rule, p) for atr_rule, p in branches]
             branch_mass = sum(c.probability for c in children)
             # Mass lost to truncated (infinite) supports.
             error_mass += max(node.probability - branch_mass, 0.0)
-            stack.extend(children)
+            if slots is None:
+                stack.extend((child, None, None) for child in children)
+            else:
+                branch = _Branch(trigger)
+                slots[key] = branch
+                stack.extend(
+                    (child, branch.children, atr_rule.outcome)
+                    for child, (atr_rule, _) in zip(children, branches)
+                )
 
         # Canonical order via cheap structural keys (the AtR set identifies
         # the outcome); replaces the old O(n·|rules|·log) stringify-sort.
-        outcomes.sort(key=lambda o: o.choice_key)
+        order = sorted(range(len(outcomes)), key=lambda number: outcomes[number].choice_key)
+        outcomes = [outcomes[number] for number in order]
+        record = None
+        if recording:
+            ranks = [0] * len(order)
+            for rank, number in enumerate(order):
+                ranks[number] = rank
+            record = ChaseRecord(self.config, top[None], tuple(ranks), tuple(outcomes))
         self.stats.merge_grounder(self.grounder)
         return ChaseResult(
             outcomes=outcomes,
@@ -318,6 +422,7 @@ class ChaseEngine:
             truncated_paths=truncated,
             max_depth_reached=max_depth_reached,
             stats=self.stats,
+            record=record,
         )
 
     # -- single-path sampling (used by the Monte-Carlo sampler) -------------------
@@ -326,13 +431,24 @@ class ChaseEngine:
         """Follow a single random chase path; ``None`` signals the error event.
 
         Returns ``(outcome, depth)``.  Each trigger is resolved by sampling
-        the corresponding distribution, so the path ends at a possible
-        outcome with exactly its semantic probability.  *start* lets the
+        its distribution with *rng*; the path probability is tracked so the
+        returned outcome is a faithful leaf.  *start* lets the
         stratified adaptive sampler begin below a fixed first choice; the
         returned outcome's probability is then conditional on the prefix
         (the start node's probability factor is inherited as-is).
+
+        With a :attr:`record` a path from the root descends the recorded
+        tree, making the same draws in the same order, and ends at the
+        chase's own outcome, whose stable models are already solved.  Where
+        a draw leaves the record, the node reached is grounded again from
+        the root, drawing nothing, and the path goes on as without a record.
         """
-        node = self.root() if start is None else start
+        if start is None and self.record is not None:
+            return self._descend(rng, self.record)
+        return self._walk(rng, self.root() if start is None else start)
+
+    def _walk(self, rng, node: ChaseNode) -> tuple[PossibleOutcome | None, int]:
+        """Sample on from a grounded *node*, grounding every node of the path."""
         while True:
             triggers = node.triggers(self.grounder)
             if not triggers:
@@ -348,10 +464,52 @@ class ChaseEngine:
             if node.depth >= self.config.max_depth:
                 return None, node.depth
             trigger = self.select_trigger(triggers)
-            spec = self.grounder.translated.spec_for_active(trigger.predicate)
-            distribution = self._registry.get(spec.distribution)
-            params = spec.parameters_of(trigger)
-            outcome = distribution.sample(params, rng)
-            probability = distribution.pmf(params, outcome)
+            spec, outcome, factor = self._draw(trigger, rng)
             atr_rule = GroundAtRRule.of(spec, trigger, outcome)
-            node = self._child(node, atr_rule, node.probability * probability)
+            node = self._child(node, atr_rule, node.probability * factor)
+
+    def _descend(self, rng, record: ChaseRecord) -> tuple[PossibleOutcome | None, int]:
+        """Sample from the root along *record*, grounding only where it ends.
+
+        A child is looked up by the outcome's constant; the draw's AtR rule
+        is built only when the path leaves the record.
+        """
+        place, probability = record.root, 1.0
+        draws: list[tuple[AtRSpec, Atom, Outcome]] = []
+        while isinstance(place, _Branch):
+            spec, outcome, factor = self._draw(place.trigger, rng)
+            probability *= factor
+            draws.append((spec, place.trigger, outcome))
+            child = place.children.get(outcome_to_constant(outcome))
+            if child is None:
+                # The draw lies outside a support the chase truncated.
+                return self._walk(rng, self._node_along(draws, probability))
+            place = child
+        if place is _Cut.DEPTH:
+            return None, len(draws)
+        if place is _Cut.OUTCOMES:
+            return self._walk(rng, self._node_along(draws, probability))
+        leaf = record.outcomes[record.ranks[place]]
+        # The chase multiplied the pmf of its support values, the path that
+        # of its draws; they differ only if a distribution's draws and
+        # support disagree in type, and then the path's product stands.
+        if leaf.probability != probability:
+            leaf = PossibleOutcome(leaf.atr_rules, leaf.grounding, probability, leaf.translated)
+        return leaf, len(draws)
+
+    def _draw(self, trigger: Atom, rng) -> tuple[AtRSpec, Outcome, float]:
+        """Resolve *trigger* by one draw: its spec, the outcome and the outcome's probability."""
+        spec = self.grounder.translated.spec_for_active(trigger.predicate)
+        distribution = self._registry.get(spec.distribution)
+        params = spec.parameters_of(trigger)
+        outcome = distribution.sample(params, rng)
+        return spec, outcome, distribution.pmf(params, outcome)
+
+    def _node_along(
+        self, draws: list[tuple[AtRSpec, Atom, Outcome]], probability: float
+    ) -> ChaseNode:
+        """The node *draws* reach from the root, grounded as the chase grounds it."""
+        node = self.root()
+        for draw in draws:
+            node = self._child(node, GroundAtRRule.of(*draw), probability)
+        return node

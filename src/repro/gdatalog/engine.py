@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from repro.runtime.service import ComponentCache
 
 from repro.exceptions import GroundingError, ValidationError
-from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseResult
+from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseRecord, ChaseResult
 from repro.gdatalog.factorize import ProductSpace, factorized_space
 from repro.gdatalog.grounders import Grounder, grounder_name, make_grounder
 from repro.gdatalog.outcomes import PossibleOutcome
@@ -82,6 +82,9 @@ class GDatalogEngine:
             self._analysis = analysis
         self._chase_result: ChaseResult | None = None
         self._space: AbstractSpace | None = None
+        # The tree the flat chase of ``_space`` walked, published with it:
+        # the samplers descend it instead of grounding every path again.
+        self._record: ChaseRecord | None = None
         self._sliced_engines: dict[frozenset[Predicate], GDatalogEngine] = {}
         self.translated: TranslatedProgram = translate_program(self.program)
         self.grounder: Grounder = make_grounder(grounder, self.translated, self.database)
@@ -177,17 +180,18 @@ class GDatalogEngine:
         otherwise ineligible) programs fall back to the flat
         :class:`OutputSpace`.  *workers* routes the chase — per component
         when factorized, per subtree otherwise — through the parallel
-        runtime.
+        runtime.  Only the sequential flat chase keeps the record of its
+        tree, which :meth:`sampler` and :meth:`adaptive_estimate` descend.
         """
         space = self._space
         if space is None:
             with self._lock:
                 if self._space is None:
-                    self._space = self._build_space(workers)
+                    self._space, self._record = self._build_space(workers)
                 space = self._space
         return space
 
-    def _build_space(self, workers: int | None) -> AbstractSpace:
+    def _build_space(self, workers: int | None) -> tuple[AbstractSpace, ChaseRecord | None]:
         """Choose the strategy — factorized, parallel or sequential — and run it."""
         config = self.chase_config
         if config.factorize:
@@ -200,17 +204,18 @@ class GDatalogEngine:
                     decomposition=decomposition,
                     cache=self.component_cache,
                     program_digest=self.analysis.program_digest,
-                )
+                ), None
         if workers is not None and workers > 1:
-            return self.parallel_output_space(workers=workers)
+            return self.parallel_output_space(workers=workers), None
         result = self.chase_result
-        return OutputSpace(result.outcomes, error_probability=result.error_probability)
+        space = OutputSpace(result.outcomes, error_probability=result.error_probability)
+        return space, result.record
 
-    def _adopt_space(self, space: AbstractSpace) -> None:
+    def _adopt_space(self, space: AbstractSpace, record: ChaseRecord | None = None) -> None:
         """Take *space*, maintained from a pre-delta engine, as the memo of :meth:`output_space`."""
         with self._lock:
             if self._space is None:
-                self._space = space
+                self._space, self._record = space, record
 
     # -- streaming updates ---------------------------------------------------------
 
@@ -352,8 +357,14 @@ class GDatalogEngine:
     # -- approximate inference ------------------------------------------------------------
 
     def sampler(self, seed: int | None = None) -> MonteCarloSampler:
-        """A Monte-Carlo sampler sharing this engine's grounder and chase configuration."""
-        return MonteCarloSampler(self.grounder, self.chase_config, seed=seed)
+        """A Monte-Carlo sampler sharing this engine's grounder and chase configuration.
+
+        Once :meth:`output_space` has built a flat space, the sampler
+        descends the chase's recorded tree: the same seeded draws, without
+        grounding the nodes the chase already grounded.  Sampling never
+        starts the exhaustive chase.
+        """
+        return MonteCarloSampler(self.grounder, self.chase_config, seed=seed, record=self._record)
 
     def estimate_has_stable_model(self, n: int = 1000, seed: int | None = None) -> Estimate:
         """Monte-Carlo estimate of P("Π[D] has some stable model")."""
@@ -383,7 +394,9 @@ class GDatalogEngine:
         *query* accepts the same forms as :meth:`evaluate_queries`; extra
         keyword arguments reach
         :class:`~repro.runtime.adaptive.AdaptiveSampler`.  Call it on
-        :meth:`sliced` to sample the query-relevant slice only.
+        :meth:`sliced` to sample the query-relevant slice only.  Like
+        :meth:`sampler`, it descends the recorded chase tree once the space
+        is built.
         """
         from repro.ppdl.queries import query_from_spec
         from repro.runtime.adaptive import AdaptiveSampler
@@ -394,6 +407,7 @@ class GDatalogEngine:
             target_half_width=target_half_width,
             stratify=stratify,
             seed=seed,
+            record=self._record,
             **driver_options,
         )
         return driver.estimate(query_from_spec(query))

@@ -20,7 +20,9 @@ modes, picked per delta:
     where ``removed``/``added`` are the root-level diffs.  The AtR sets,
     trigger order and path probabilities are untouched, so the patched
     space is bit-identical to a from-scratch chase — at the cost of one
-    root delta instead of ``|Ω|`` full groundings.
+    root delta instead of ``|Ω|`` full groundings.  For the same reason the
+    pre-delta engine's :class:`~repro.gdatalog.chase.ChaseRecord` carries
+    over, re-pointed at the patched outcomes; the other modes drop it.
 
     Soundness of the leaf patch: an instance of ``G(Σ)`` either derives
     without choices (it is in ``G(∅)``, and the root diff covers it) or its
@@ -205,7 +207,7 @@ def maintain_engine(
             "the post-delta grounder family cannot be rebuilt"
         )
     with engine._lock:
-        base_space = engine._space
+        base_space, base_record = engine._space, engine._record
 
     effective = delta.effective(engine.database)
     if effective.is_empty:
@@ -260,7 +262,8 @@ def maintain_engine(
         and engine.analysis.delta_patchable(effective.predicates())
     ):
         space = _patch_flat(engine, new_engine, effective, base_space)
-        new_engine._adopt_space(space)
+        record = base_record.with_outcomes(space.outcomes) if base_record is not None else None
+        new_engine._adopt_space(space, record)
         return new_engine, space, _report(
             "patch", effective, invalidated=0, reused=len(base_space.outcomes)
         )

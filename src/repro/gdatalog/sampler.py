@@ -16,7 +16,7 @@ from typing import Callable
 from repro.exceptions import ValidationError
 from repro.rng import default_rng, sqrt
 
-from repro.gdatalog.chase import ChaseConfig, ChaseEngine
+from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseRecord
 from repro.gdatalog.grounders import Grounder
 from repro.gdatalog.outcomes import PossibleOutcome
 
@@ -93,10 +93,22 @@ class SampleStats:
 
 
 class MonteCarloSampler:
-    """Forward sampler over the chase of a fixed grounder."""
+    """Forward sampler over the chase of a fixed grounder.
 
-    def __init__(self, grounder: Grounder, config: ChaseConfig | None = None, seed: int | None = None):
-        self._engine = ChaseEngine(grounder, config or ChaseConfig())
+    *record* is the :class:`~repro.gdatalog.chase.ChaseRecord` of the
+    grounder's exhaustive chase, when one is at hand: paths then descend the
+    recorded tree (see :meth:`~repro.gdatalog.chase.ChaseEngine.sample_path`)
+    and draw exactly what they draw without it.
+    """
+
+    def __init__(
+        self,
+        grounder: Grounder,
+        config: ChaseConfig | None = None,
+        seed: int | None = None,
+        record: ChaseRecord | None = None,
+    ):
+        self._engine = ChaseEngine(grounder, config or ChaseConfig(), record=record)
         self._rng = default_rng(seed)
 
     # -- sampling --------------------------------------------------------------

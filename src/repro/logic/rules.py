@@ -15,6 +15,7 @@ by the stable-model engine and by grounded programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import ValidationError
@@ -81,8 +82,13 @@ class Rule:
         """Whether the rule has no negative body literals."""
         return not self.negative_body
 
-    @property
+    @cached_property
     def is_ground(self) -> bool:
+        """Whether no atom of the rule has a variable.
+
+        Cached on the instance: rules are immutable and the grounders intern
+        their instances, so each ground rule is checked once per process.
+        """
         return (
             self.head.is_ground
             and all(a.is_ground for a in self.positive_body)

@@ -14,7 +14,11 @@ sampled conditionally from its child node, and the estimates combine as
 ``p̂ = Σ p_o q̂_o`` with half-width ``sqrt(Σ p_o² hw_o²)``.  Branch masses
 are then exact rather than estimated, which removes the first choice's
 variance entirely — on strongly skewed first choices this reaches a target
-half-width with far fewer samples.
+half-width with far fewer samples.  Every stratum gets at least one draw
+per chunk, so stratification is declined (``stratified=False``) when the
+first trigger has more branches than ``max_samples``, and a stratified run
+stops unconverged when the remaining budget cannot give every stratum a
+draw: ``max_samples`` is never exceeded.
 
 Usage::
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.rng import default_rng, sqrt
 
-from repro.gdatalog.chase import ChaseConfig, ChaseEngine
+from repro.gdatalog.chase import ChaseConfig, ChaseEngine, ChaseRecord
 from repro.gdatalog.grounders import Grounder
 from repro.gdatalog.sampler import Estimate
 from repro.ppdl.queries import Query
@@ -82,8 +86,10 @@ class AdaptiveSampler:
 
     Parameters
     ----------
-    grounder / config:
-        As for :class:`~repro.gdatalog.chase.ChaseEngine`.
+    grounder / config / record:
+        As for :class:`~repro.gdatalog.chase.ChaseEngine`: with the record
+        of the grounder's exhaustive chase, plain paths descend the
+        recorded tree instead of grounding every node again.
     target_half_width:
         Stop once the (combined) Wilson half-width is at most this.
     z:
@@ -91,7 +97,8 @@ class AdaptiveSampler:
     chunk_size:
         Samples drawn between convergence checks.
     max_samples:
-        Hard budget; the result reports ``converged=False`` when it binds.
+        Hard budget, never exceeded; the result reports ``converged=False``
+        when it binds.
     stratify:
         Split on the first trigger's branches (see module docstring).
     """
@@ -106,12 +113,15 @@ class AdaptiveSampler:
         max_samples: int = 200_000,
         stratify: bool = False,
         seed: int | None = None,
+        record: ChaseRecord | None = None,
     ):
         if target_half_width <= 0.0:
             raise ValueError(f"target_half_width must be positive, got {target_half_width}")
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self._engine = ChaseEngine(grounder, config or ChaseConfig())
+        if max_samples <= 0:
+            raise ValueError(f"max_samples must be positive, got {max_samples}")
+        self._engine = ChaseEngine(grounder, config or ChaseConfig(), record=record)
         self._rng = default_rng(seed)
         self.target_half_width = float(target_half_width)
         self.z = float(z)
@@ -125,7 +135,9 @@ class AdaptiveSampler:
         """Estimate ``P(query)`` to the target precision."""
         if self.stratify:
             strata = self._first_branch_strata()
-            if strata is not None:
+            # Each stratum takes a draw per chunk: more strata than the
+            # whole budget would overrun it in the first chunk.
+            if strata is not None and len(strata) <= self.max_samples:
                 return self._estimate_stratified(query, strata)
         return self._estimate_plain(query)
 
@@ -171,6 +183,8 @@ class AdaptiveSampler:
         samples = 0
         chunks = 0
         while samples < self.max_samples:
+            if self.max_samples - samples < len(strata):
+                break  # too little budget left to give every stratum a draw
             budget = min(self.chunk_size, self.max_samples - samples)
             allocations = self._allocate(strata, budget)
             for stratum, allocation in zip(strata, allocations):
@@ -188,7 +202,10 @@ class AdaptiveSampler:
         return AdaptiveEstimate(value, half_width, samples, chunks, False, True)
 
     def _allocate(self, strata: list[_Stratum], budget: int) -> list[int]:
-        """Proportional-to-mass allocation, at least one sample per stratum."""
+        """Proportional-to-mass allocation, at least one sample per stratum.
+
+        The total is at most ``max(budget, len(strata))``.
+        """
         raw = [max(1, int(round(budget * stratum.mass))) for stratum in strata]
         # Trim overshoot deterministically from the largest allocations.
         while sum(raw) > budget and max(raw) > 1:

@@ -58,7 +58,7 @@ from repro.logic.database import Database
 from repro.logic.deltas import DbDelta
 from repro.logic.parser import parse_database, parse_gdatalog_program
 from repro.ppdl.queries import Query, query_from_spec
-from repro.runtime.adaptive import AdaptiveEstimate, AdaptiveSampler
+from repro.runtime.adaptive import AdaptiveEstimate
 from repro.runtime.batch import QueryBatch
 
 __all__ = ["ServiceStats", "InferenceService", "UpdateResult"]
@@ -581,15 +581,17 @@ class InferenceService:
         seed: int | None = None,
         max_samples: int = 200_000,
     ) -> AdaptiveEstimate:
-        """Adaptive Monte-Carlo estimation to a target Wilson half-width."""
+        """Adaptive Monte-Carlo estimation to a target Wilson half-width.
+
+        Through :meth:`GDatalogEngine.adaptive_estimate`, so an engine whose
+        space is built samples along its recorded chase tree.
+        """
         resolved: Query = query_from_spec(query)
         engine = self.engine(program_source, database_source)
-        driver = AdaptiveSampler(
-            engine.grounder,
-            self.chase_config,
+        return engine.adaptive_estimate(
+            resolved,
             target_half_width=target_half_width,
             stratify=stratify,
             seed=seed,
             max_samples=max_samples,
         )
-        return driver.estimate(resolved)

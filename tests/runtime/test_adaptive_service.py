@@ -18,6 +18,7 @@ from repro.workloads import (
     topology_graph,
 )
 from repro.logic.database import Database
+from repro.logic.parser import parse_database, parse_gdatalog_program
 
 COIN = """
 coin(flip<0.5>).
@@ -144,6 +145,81 @@ class TestAdaptiveSampler:
             AdaptiveSampler(_coin_grounder(), target_half_width=0.0)
         with pytest.raises(ValueError):
             AdaptiveSampler(_coin_grounder(), chunk_size=0)
+        with pytest.raises(ValueError):
+            AdaptiveSampler(_coin_grounder(), max_samples=0)
+
+    def test_stratification_declined_when_strata_outnumber_the_budget(self):
+        # The Poisson first trigger has ~20 branches, more than 8 draws
+        # could cover at one per stratum: the plain loop runs instead.
+        service = InferenceService()
+        result = service.estimate(
+            "roll(X, poisson<4>[X]) :- thing(X).",
+            "thing(1).",
+            {"type": "has_stable_model"},
+            stratify=True,
+            seed=3,
+            max_samples=8,
+        )
+        assert result.samples == 8
+        assert not result.stratified
+
+    def test_stratified_run_stops_when_the_rest_cannot_reach_every_stratum(self):
+        grounder = SimpleGrounder(
+            translate_program(parse_gdatalog_program("die(X, uniform_int<1, 3>[X]) :- thing(X).")),
+            parse_database("thing(1)."),
+        )
+        driver = AdaptiveSampler(
+            grounder,
+            target_half_width=0.001,
+            chunk_size=8,
+            max_samples=10,
+            stratify=True,
+            seed=4,
+        )
+        result = driver.estimate(query_from_spec("die(1, 2)"))
+        # One chunk of 8; the 2 draws left cannot give each of 3 strata one.
+        assert result.samples == 8
+        assert result.stratified and not result.converged
+
+    def test_chunks_smaller_than_the_strata_draw_one_per_stratum(self):
+        grounder = SimpleGrounder(
+            translate_program(parse_gdatalog_program("die(X, uniform_int<1, 3>[X]) :- thing(X).")),
+            parse_database("thing(1)."),
+        )
+        driver = AdaptiveSampler(
+            grounder,
+            target_half_width=0.001,
+            chunk_size=2,
+            max_samples=10,
+            stratify=True,
+            seed=4,
+        )
+        result = driver.estimate(query_from_spec("die(1, 2)"))
+        # Each chunk gives each of the 3 strata one draw; after 3 chunks the
+        # single draw left cannot, so the run stops short of the budget.
+        assert (result.samples, result.chunks) == (9, 3)
+        assert result.stratified and not result.converged
+
+    def test_strata_beyond_the_chunk_size_still_stratify(self):
+        # The Poisson first trigger has more branches than a chunk of 8 but
+        # far fewer than the budget: stratified, one draw per stratum a chunk.
+        grounder = SimpleGrounder(
+            translate_program(parse_gdatalog_program("roll(X, poisson<4>[X]) :- thing(X).")),
+            parse_database("thing(1)."),
+        )
+        driver = AdaptiveSampler(
+            grounder,
+            target_half_width=0.1,
+            chunk_size=8,
+            max_samples=1000,
+            stratify=True,
+            seed=3,
+        )
+        strata = len(driver._first_branch_strata())
+        assert strata > 8
+        result = driver.estimate(HasStableModelQuery())
+        assert result.stratified and result.converged
+        assert result.samples == strata * result.chunks < 1000
 
     def test_as_estimate_view(self):
         driver = AdaptiveSampler(_coin_grounder(), target_half_width=0.1, seed=3)
